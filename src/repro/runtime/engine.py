@@ -11,9 +11,11 @@ Execution model (standard synchronous network):
   communication-round complexity, the quantity paper Section VI-B
   analyzes (``O(n)`` for the framework).
 
-While a party executes, its :class:`OperationCounter` is attached to the
-shared group object(s), so group operations are metered per party even
-though all simulated parties share one group instance.
+Parties are stepped through a :class:`~repro.runtime.driver.PartyDriver`
+(shared with the socket transport's party host): while a party executes,
+its :class:`OperationCounter` is attached to the shared group object(s),
+so group operations are metered per party even though all simulated
+parties share one group instance.
 
 Fault tolerance (optional, both default to ``None``):
 
@@ -43,6 +45,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.groups.base import Group
 from repro.runtime.channels import Mailbox, Message, NextRound, Recv, WireTransport
 from repro.runtime.checkpoint import CheckpointError
+from repro.runtime.driver import PartyDriver
 from repro.runtime.errors import DeadlockError, PartyCrashed, ProtocolError
 from repro.runtime.party import Party
 from repro.runtime.transcript import Transcript
@@ -55,16 +58,6 @@ class LostMessage:
     message: Message
     attempts: int = 0      # retransmissions performed so far
     healed: bool = False   # a retransmit made it into a mailbox
-
-
-@dataclass
-class _ReplayState:
-    """A rejoining party mid-replay: the journaled sends still to check
-    off, and the first life's metrics object — swapped back in at the
-    death point so replayed work is never double-counted."""
-
-    sends: Any  # Deque[(dst, tag)] from the party's send journal
-    carried_metrics: Any
 
 
 class Engine:
@@ -90,14 +83,13 @@ class Engine:
         # A repro.runtime.checkpoint.CheckpointManager (or None): durable
         # per-party journals + snapshots, and the kill-and-rejoin path.
         self.checkpoints = checkpoints
-        self._replay: Dict[int, _ReplayState] = {}
         self.parties: Dict[int, Party] = {}
         self.transcript = Transcript()
         self.round = 0
         self.max_rounds = max_rounds
         self._mailboxes: Dict[int, Mailbox] = {}
         self._outbox: List[Message] = []
-        self._generators: Dict[int, Any] = {}
+        self._drivers: Dict[int, PartyDriver] = {}
         self._waiting: Dict[int, Recv] = {}
         self._waiting_since: Dict[int, int] = {}
         # Parties that yielded NextRound, keyed to the round they paused
@@ -189,19 +181,8 @@ class Engine:
             raise ProtocolError(f"party {src} sent to unknown party {dst}")
         if dst == src:
             raise ProtocolError(f"party {src} sent a message to itself")
-        replay = self._replay.get(src)
-        if replay is not None:
-            if replay.sends:
-                expected = replay.sends.popleft()
-                if expected != (dst, tag):
-                    raise CheckpointError(
-                        f"replay divergence: party {src} sent "
-                        f"({dst}, {tag!r}) but its journal says {expected}"
-                    )
-                return  # reached the wire before the death; suppress
-            # Send journal exhausted: this is the send the first life
-            # died on.  Go live and fall through to re-issue it for real.
-            self._finish_replay(src)
+        if self._drivers[src].suppress_send(dst, tag):
+            return  # reached the wire before the death
         message = Message(
             src=src, dst=dst, tag=tag, payload=payload,
             size_bits=size_bits, round_sent=self.round,
@@ -294,11 +275,13 @@ class Engine:
         surface as :class:`DeadlockError`.
         """
         for party_id, party in self.parties.items():
-            self._generators[party_id] = party.protocol()
+            self._drivers[party_id] = PartyDriver(
+                party, self._metered_groups, self.checkpoints
+            )
         try:
             # Prime every generator to its first blocking point.
             for party_id in sorted(self.parties):
-                self._advance(party_id, first=True)
+                self._advance(party_id)
             while not self._all_done():
                 progressed = self._run_one_round()
                 if self.round > self.max_rounds:
@@ -321,8 +304,8 @@ class Engine:
 
     def _close_generators(self) -> None:
         """Release party frames (and anything they hold) on every exit path."""
-        for generator in self._generators.values():
-            generator.close()
+        for driver in self._drivers.values():
+            driver.close()
 
     def _run_one_round(self) -> bool:
         """Deliver pending messages, then advance parties until quiescent.
@@ -403,43 +386,28 @@ class Engine:
             observe = getattr(self.supervisor, "observe_wait", None)
             if observe is not None:
                 observe(self.round - self.waiting_since(party_id))
-        if self.checkpoints is not None and party_id not in self._replay:
+        if self.checkpoints is not None:
             # Journal at the consumption point: exactly what a rejoin
             # replay must feed the rebuilt generator, in order.
             self.checkpoints.journal_receive(party_id, message, self.round)
         self._advance(party_id, message=message)
         return True
 
-    def _advance(self, party_id: int, message: Optional[Message] = None, first: bool = False) -> None:
-        """Step one party's generator until it blocks or finishes."""
-        party = self.parties[party_id]
-        generator = self._generators[party_id]
-        self._attach_counters(party)
+    def _advance(self, party_id: int, message: Optional[Message] = None) -> None:
+        """Step one party until it blocks or finishes, then park it."""
         try:
-            if first:
-                effect = next(generator)
-            else:
-                effect = generator.send(message)
-        except StopIteration:
-            self._finished[party_id] = True
-            self._waiting.pop(party_id, None)
-            return
+            effect = self._drivers[party_id].step(message)
         except PartyCrashed as crash:
             self._handle_crash(party_id, crash)
             return
-        finally:
-            self._detach_counters()
-        if isinstance(effect, NextRound):
-            self._waiting.pop(party_id, None)
+        self._waiting.pop(party_id, None)
+        if effect is None:
+            self._finished[party_id] = True
+        elif isinstance(effect, NextRound):
             self._paused[party_id] = self.round
-            return
-        if not isinstance(effect, Recv):
-            raise ProtocolError(
-                f"party {party_id} yielded {effect!r}; parties may only "
-                "yield Recv or NextRound"
-            )
-        self._waiting[party_id] = effect
-        self._waiting_since[party_id] = self.round
+        else:
+            self._waiting[party_id] = effect
+            self._waiting_since[party_id] = self.round
 
     def _mark_crashed(self, party_id: int, phase: Optional[str]) -> None:
         self._crashed[party_id] = phase
@@ -474,12 +442,11 @@ class Engine:
             return False
         party = plan.party
         party._engine = self
-        self._generators[party_id].close()
+        self._drivers[party_id].close()
         self.parties[party_id] = party
-        generator = party.protocol()
-        self._generators[party_id] = generator
-        self._replay[party_id] = _ReplayState(
-            sends=plan.sends, carried_metrics=old_party.metrics
+        self._drivers[party_id] = PartyDriver(
+            party, self._metered_groups, self.checkpoints,
+            plan=plan, carried_metrics=old_party.metrics,
         )
         self._waiting.pop(party_id, None)
         self._paused.pop(party_id, None)
@@ -489,116 +456,21 @@ class Engine:
                 note(party_id, self.round)
         self.checkpoints.note_rejoin(party_id, self.round)
         try:
-            self._drive_replay(party_id, generator, plan)
-        except PartyCrashed as again:
-            # The re-issued (or a later live) send died too — e.g. a
-            # kill_restart spec with count=2.  Every retry consumes one
-            # spec match so recursion terminates; metrics were already
-            # swapped to the carried object at the go-live transition.
-            self._replay.pop(party_id, None)
-            self._handle_crash(party_id, again)
+            # A re-issued (or later live) send that dies again — e.g. a
+            # kill_restart spec with count=2 — recurses through
+            # _handle_crash; every retry consumes one spec match, so
+            # the recursion terminates.
+            self._advance(party_id)
         except CheckpointError:
             # The journal does not match a deterministic re-execution:
             # restore the first life's party object (its metrics are the
             # true record) and degrade to plain-crash handling.
-            self._replay.pop(party_id, None)
-            generator.close()
+            self._drivers[party_id].close()
             self.parties[party_id] = old_party
             self._mark_crashed(party_id, crash.phase)
         return True
 
-    def _drive_replay(self, party_id: int, generator: Any, plan: Any) -> None:
-        """Step a rebuilt generator through its journal: feed journaled
-        receives, skip the round pauses the first life already waited
-        out, and leave the party parked exactly where a live party would
-        be.  The go-live transition happens mid-step inside submit (the
-        first send past the journal), via _finish_replay."""
-        party = self.parties[party_id]
-        received = plan.received
-        index = 0
-        feed: Optional[Message] = None
-        first = True
-        while True:
-            self._attach_counters(party)
-            try:
-                if first:
-                    effect = next(generator)
-                    first = False
-                else:
-                    effect = generator.send(feed)
-            except StopIteration:
-                if party_id in self._replay:
-                    raise CheckpointError(
-                        f"party {party_id} finished mid-replay; its journal "
-                        "does not match a deterministic re-execution"
-                    )
-                self._finished[party_id] = True
-                self._waiting.pop(party_id, None)
-                return
-            finally:
-                self._detach_counters()
-            feed = None
-            replaying = party_id in self._replay
-            if isinstance(effect, NextRound):
-                if replaying:
-                    continue  # the first life already waited this out
-                self._waiting.pop(party_id, None)
-                self._paused[party_id] = self.round
-                return
-            if not isinstance(effect, Recv):
-                raise ProtocolError(
-                    f"party {party_id} yielded {effect!r}; parties may only "
-                    "yield Recv or NextRound"
-                )
-            if replaying:
-                if index >= len(received):
-                    raise CheckpointError(
-                        f"party {party_id} blocked on {effect!r} mid-replay "
-                        "with no journaled message left"
-                    )
-                message = received[index]
-                if not effect.matches(message):
-                    raise CheckpointError(
-                        f"replay divergence: party {party_id} wants "
-                        f"{effect!r} but its journal delivers "
-                        f"({message.src}, {message.tag!r})"
-                    )
-                index += 1
-                # accounted=True: the first life already credited this
-                # receive to the carried metrics.
-                feed = replace(message, accounted=True)
-                continue
-            self._waiting[party_id] = effect
-            self._waiting_since[party_id] = self.round
-            return
-
-    def _finish_replay(self, party_id: int) -> None:
-        """Death-point transition, called from submit mid-step: from here
-        the rebuilt party runs live.  The replayed prefix re-ran against
-        the twin's scratch metrics; discard those and carry the first
-        life's accounting forward (it covers that prefix exactly once),
-        re-attaching counters so ops later in this same step land on the
-        carried object."""
-        state = self._replay.pop(party_id)
-        party = self.parties[party_id]
-        party.metrics = state.carried_metrics
-        self._attach_counters(party)
-        if self.checkpoints is not None:
-            self.checkpoints.finish_replay(party_id)
-
     def note_phase(self, party: Party) -> None:
-        """Phase-boundary hook from Party.set_phase: durable snapshot.
-
-        Replaying parties are skipped — their first life already
-        snapshotted these boundaries."""
-        if self.checkpoints is None or party.party_id in self._replay:
-            return
-        self.checkpoints.snapshot_party(party, self.round)
-
-    def _attach_counters(self, party: Party) -> None:
-        for group in self._metered_groups:
-            group.attach_counter(party.metrics.ops)
-
-    def _detach_counters(self) -> None:
-        for group in self._metered_groups:
-            group.attach_counter(None)
+        """Phase-boundary hook from Party.set_phase: durable snapshot
+        (skipped while the party replays its journal)."""
+        self._drivers[party.party_id].note_phase(self.round)

@@ -20,11 +20,15 @@ either heals the run or converts the stall into a typed error:
 
 All decisions are functions of engine state only, so runs stay
 deterministic: the same seed and fault plan produce the same outcome.
+Steps 2 and 3 are the pure :func:`blame` rule, which the socket
+transport's wall-clock supervisor applies too, with seconds for rounds.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Mapping, NamedTuple, Optional, Tuple,
+)
 
 from repro.runtime.channels import Recv
 from repro.runtime.errors import PartyTimeout
@@ -164,36 +168,51 @@ class Supervisor:
 
     def _timeout(self, engine: "Engine", blocked: Dict[int, Recv]) -> PartyTimeout:
         self.timeouts += 1
-        # A crashed party is the root cause whenever one exists.
-        crashed = engine.crashed
-        if crashed:
-            blamed = min(crashed)
-            return PartyTimeout(
-                blamed,
-                phase=crashed[blamed],
-                round=engine.round,
-                waiting=blocked,
-            )
-        # A lost message with retries exhausted blames its sender.
-        for pid in sorted(blocked):
-            lost = engine.find_lost_message(pid, blocked[pid])
-            if lost is not None:
-                return PartyTimeout(
-                    lost.message.src,
-                    phase=self.phase_of(lost.message.tag),
-                    round=engine.round,
-                    waiting=blocked,
-                )
-        # Otherwise blame the peer the longest-waiting party points at.
-        pid = min(
-            blocked,
-            key=lambda p: (engine.waiting_since(p), p),
-        )
-        want = blocked[pid]
-        blamed = want.src if want.src is not None else pid
-        return PartyTimeout(
-            blamed,
-            phase=self.phase_of(want.tag),
-            round=engine.round,
-            waiting=blocked,
-        )
+        waits = {pid: Wait(want, engine.waiting_since(pid))
+                 for pid, want in blocked.items()}
+        lost: Dict[int, Tuple[int, str]] = {}
+        for pid, want in blocked.items():
+            found = engine.find_lost_message(pid, want)
+            if found is not None:  # its retries are used up: see _retransmit
+                lost[pid] = (found.message.src, found.message.tag)
+        return blame(waits, engine.crashed, lost, self.phase_of,
+                     round=engine.round)
+
+
+class Wait(NamedTuple):
+    """A blocked receive and when it began (a round or a second)."""
+
+    want: Recv
+    since: float
+
+
+def blame(
+    waits: Mapping[int, Wait],
+    crashed: Mapping[int, Optional[str]],
+    lost: Mapping[int, Tuple[int, str]],
+    phase_of: Callable[[str], Optional[str]],
+    round: Optional[int] = None,
+) -> PartyTimeout:
+    """Name the culprit of an expired deadline, on either clock.
+
+    ``waits`` maps each blocked party to its receive; ``crashed`` maps
+    dead parties to the phase they died in; ``lost`` maps a blocked
+    party to the (sender, tag) of a message it needs whose retransmits
+    are used up.  Priority: the lowest crashed party; else the sender of
+    the lowest party's lost message; else the party the longest-waiting
+    party waits on (itself, for a wildcard receive).
+    """
+    waiting = {pid: wait.want for pid, wait in waits.items()}
+    if crashed:
+        blamed = min(crashed)
+        return PartyTimeout(blamed, phase=crashed[blamed], round=round,
+                            waiting=waiting)
+    if lost:
+        src, tag = lost[min(lost)]
+        return PartyTimeout(src, phase=phase_of(tag), round=round,
+                            waiting=waiting)
+    pid = min(waits, key=lambda p: (waits[p].since, p))
+    want = waits[pid].want
+    blamed = want.src if want.src is not None else pid
+    return PartyTimeout(blamed, phase=phase_of(want.tag), round=round,
+                        waiting=waiting)

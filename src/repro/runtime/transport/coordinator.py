@@ -28,6 +28,7 @@ stream.
 from __future__ import annotations
 
 import asyncio
+import logging
 import os
 import pickle
 # repro-lint: ignore[R-RNG] -- the session token is an *authentication*
@@ -59,14 +60,12 @@ from repro.runtime.transport.frames import (
 #: Fault kinds applied at the *sender* (they kill the sending process).
 SENDER_KINDS = ("crash", "kill_restart")
 
-#: Set ``REPRO_TRANSPORT_DEBUG=1`` to trace coordinator-side lifecycle
-#: events (connections, deaths, respawns) on stderr.
-_DEBUG = bool(os.environ.get("REPRO_TRANSPORT_DEBUG"))
+#: Frames a party still sends while blocked (loss reports, resends to a
+#: rejoined peer, the β harvest): cohort activity, but its wait goes on.
+SENT_WHILE_BLOCKED = (frames.STATUS, frames.RESEND, frames.BETA)
 
-
-def _debug(text: str) -> None:
-    if _DEBUG:
-        print(f"[coord] {text}", file=sys.stderr, flush=True)
+#: Lifecycle events (connections, deaths, respawns) at DEBUG level.
+log = logging.getLogger(__name__)
 
 
 class _AttemptFailed(Exception):
@@ -309,8 +308,8 @@ class _Attempt:
             connection = self.connections.pop(pid, None)
             if connection is not None:
                 connection.close()
-            _debug(f"respawning P{pid} as incarnation "
-                   f"{self.incarnations[pid] + 1}")
+            log.debug("respawning P%d as incarnation %d",
+                      pid, self.incarnations[pid] + 1)
             await self._spawn(pid, self.incarnations[pid] + 1)
         # repro-lint: ignore[R-EXCEPT] -- not swallowed: converted into
         # the attempt's typed failure via _fail.
@@ -439,7 +438,7 @@ class _Attempt:
                 asyncio.TimeoutError, ValueError, KeyError):
             writer.close()
             return
-        _debug(f"P{pid} connected (incarnation {incarnation})")
+        log.debug("P%d connected (incarnation %d)", pid, incarnation)
         connection = _Connection(pid, reader, writer, incarnation)
         self.connections[pid] = connection
         self._respawning.discard(pid)
@@ -483,7 +482,10 @@ class _Attempt:
                     # protocol advances — feeding them here would clear
                     # the blocked flag every tick and no deadline could
                     # ever expire.  RTT flows in via observe_rtt instead.
-                    self.supervisor.observe_frame(pid, loop.time())
+                    self.supervisor.observe_frame(
+                        pid, loop.time(),
+                        ends_wait=ftype not in SENT_WHILE_BLOCKED,
+                    )
                 self._dispatch(connection, ftype, body, loop.time())
                 await self._drain_all()
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
@@ -503,14 +505,15 @@ class _Attempt:
         elif ftype == frames.STATUS:
             status = frames.decode_json(body)
             if "lost_from" in status:
-                self.supervisor.note_lost(int(status["lost_from"]))
+                self.supervisor.note_lost(
+                    pid, int(status["lost_from"]), str(status["lost_tag"])
+                )
             else:
                 waiting = status.get("waiting_src")
                 self.supervisor.note_blocked(
                     pid,
                     int(waiting) if waiting is not None else None,
                     str(status.get("waiting_tag", "")),
-                    str(status.get("phase", "")),
                     now,
                 )
         elif ftype == frames.PHASE:
@@ -589,7 +592,7 @@ class _Attempt:
     def _on_dying(self, pid: int, info: Dict[str, Any]) -> None:
         phase = info.get("phase")
         restart = bool(info.get("restart"))
-        _debug(f"P{pid} dying (phase={phase}, restart={restart})")
+        log.debug("P%d dying (phase=%s, restart=%s)", pid, phase, restart)
         connection = self.connections.pop(pid, None)
         if connection is not None:
             connection.close()
@@ -608,7 +611,7 @@ class _Attempt:
     async def _on_disconnect(self, connection: _Connection) -> None:
         """EOF without DONE/DYING/BYE: the process actually died."""
         pid = connection.pid
-        _debug(f"P{pid} disconnected without a word")
+        log.debug("P%d disconnected without a word", pid)
         if pid in self.bundles or self._failure is not None:
             return
         self.connections.pop(pid, None)

@@ -5,26 +5,36 @@ quiescent *rounds*; on real sockets there are no rounds to count, so
 deadlines are seconds.  The discipline is the same, transplanted to the
 wall clock:
 
+* a wait expires only once the whole cohort has gone quiet — no party
+  has sent a protocol frame (PONGs excluded) for a full deadline.  This
+  is the wall-clock form of the engine calling the supervisor only when
+  no party can make progress: a party blocked on a peer says nothing
+  about the rest of the cohort, which may still be working towards that
+  peer's send;
 * the configured timeout is a **floor** — EWMA adaptation only ever
   extends it (a slow-but-alive cohort earns longer deadlines; nothing
   shortens them below the operator's setting);
 * the deadline adapts to *measured* traffic: an EWMA over inter-frame
   gaps per party plus an EWMA of ping RTT, so a deadline is never
   tighter than the loopback (or LAN) can physically meet;
-* blame priority on expiry mirrors the engine: a crashed party first,
-  then a sender reported as lost (retransmits exhausted), then the
-  party being waited on.
+* on expiry the culprit is named by the engine's own pure
+  :func:`~repro.runtime.supervisor.blame` rule: a crashed party first,
+  then the sender of a message reported lost (retransmits exhausted),
+  then the party the longest-waiting party waits on.
 
-A party that announced its death (``DYING`` without restart) is blamed
-immediately — process death is observable on a socket (EOF), there is
-nothing to wait out.
+Waiting on a party that died and is not being respawned expires at
+once — process death is observable on a socket (EOF), there is nothing
+to wait out.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.core.parties import phase_of_tag
+from repro.runtime.channels import Recv
 from repro.runtime.errors import PartyTimeout
+from repro.runtime.supervisor import Wait, blame
 
 #: EWMA smoothing factor for inter-frame gaps and RTT samples.
 ALPHA = 0.2
@@ -44,9 +54,9 @@ class WallClockSupervisor:
         self.gap_ewma: Optional[float] = None
         self.rtt_ewma: Optional[float] = None
         self._last_frame: Dict[int, float] = {}
-        # pid -> (blocked since, waited-on src, tag, phase)
-        self.blocked: Dict[int, Tuple[float, Optional[int], str, str]] = {}
-        self.lost: Dict[int, int] = {}      # reported-lost sender -> count
+        self.blocked: Dict[int, Wait] = {}
+        # receiver -> (sender, tag) of a message whose retries ran out
+        self.lost: Dict[int, Tuple[int, str]] = {}
         self.crashed: Dict[int, Optional[str]] = {}  # dead pid -> phase
         self.restarting: set = set()        # dead but being respawned
         self.rejoins = 0
@@ -54,8 +64,11 @@ class WallClockSupervisor:
 
     # -- observations -------------------------------------------------------
 
-    def observe_frame(self, pid: int, now: float) -> None:
-        """Any frame from ``pid``: liveness + gap sample + unblock."""
+    def observe_frame(self, pid: int, now: float,
+                      ends_wait: bool = True) -> None:
+        """A protocol frame from ``pid``: liveness, gap sample and cohort
+        activity.  ``ends_wait`` is False for the frames a party still
+        sends while blocked (status reports, resends, β harvest)."""
         last = self._last_frame.get(pid)
         if last is not None:
             gap = now - last
@@ -64,7 +77,8 @@ class WallClockSupervisor:
                 else (1 - ALPHA) * self.gap_ewma + ALPHA * gap
             )
         self._last_frame[pid] = now
-        self.blocked.pop(pid, None)
+        if ends_wait:
+            self.blocked.pop(pid, None)
 
     def observe_rtt(self, sample_s: float) -> None:
         self.rtt_ewma = (
@@ -72,12 +86,12 @@ class WallClockSupervisor:
             else (1 - ALPHA) * self.rtt_ewma + ALPHA * sample_s
         )
 
-    def note_blocked(self, pid: int, waiting_src: Optional[int],
-                     tag: str, phase: str, now: float) -> None:
-        self.blocked[pid] = (now, waiting_src, tag, phase)
+    def note_blocked(self, pid: int, waiting_src: Optional[int], tag: str,
+                     now: float) -> None:
+        self.blocked[pid] = Wait(Recv(src=waiting_src, tag=tag), now)
 
-    def note_lost(self, src: int) -> None:
-        self.lost[src] = self.lost.get(src, 0) + 1
+    def note_lost(self, pid: int, src: int, tag: str) -> None:
+        self.lost[pid] = (src, tag)
 
     def note_crashed(self, pid: int, phase: Optional[str],
                      restarting: bool = False) -> None:
@@ -100,29 +114,22 @@ class WallClockSupervisor:
         return max(self.floor_s, adapted)
 
     def check(self, now: float) -> Optional[PartyTimeout]:
-        """Expire overdue waits; ``None`` while everyone is within deadline."""
-        deadline = self.deadline_s()
-        for pid, (since, waiting_src, tag, phase) in sorted(self.blocked.items()):
-            overdue = now - since >= deadline
-            # Waiting on a corpse is hopeless *unless* the corpse is
-            # being respawned — then the wait is exactly what a rejoin
-            # needs, and only the ordinary deadline bounds it.
-            waiting_on_corpse = (
-                waiting_src in self.crashed
-                and waiting_src not in self.restarting
-            )
-            if not (overdue or waiting_on_corpse):
-                continue
-            self.timeouts += 1
-            blamed = waiting_src
-            blamed_phase = phase
-            if self.crashed:
-                if waiting_src not in self.crashed:
-                    blamed = min(self.crashed)
-                blamed_phase = self.crashed.get(blamed) or phase
-            elif self.lost and waiting_src not in self.lost:
-                blamed = min(self.lost)
-            return PartyTimeout(
-                blamed, phase=blamed_phase, waiting={pid: tag}
-            )
-        return None
+        """Blame once the waits expire; ``None`` while the cohort is
+        within its deadline."""
+        if not self.blocked:
+            return None
+        waits = self.blocked.values()
+        quiet_since = max([*self._last_frame.values(),
+                           *(wait.since for wait in waits)])
+        # Waiting on a corpse is hopeless *unless* the corpse is being
+        # respawned — then the wait is exactly what a rejoin needs, and
+        # only the ordinary deadline bounds it.
+        hopeless = any(
+            wait.want.src in self.crashed
+            and wait.want.src not in self.restarting
+            for wait in waits
+        )
+        if not hopeless and now - quiet_since < self.deadline_s():
+            return None
+        self.timeouts += 1
+        return blame(self.blocked, self.crashed, self.lost, phase_of_tag)

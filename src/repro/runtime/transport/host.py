@@ -11,7 +11,11 @@ at which point the process awaits the socket.  Compute in one party
 overlaps IO (and every other party's compute) because each party is its
 own OS process.
 
-Equivalence with the lockstep engine is by construction, not by luck:
+The party's generator is stepped by the same sans-IO
+:class:`~repro.runtime.driver.PartyDriver` the lockstep engine uses, so
+op metering, the effect type check and journal replay are one piece of
+code in both runtimes.  Equivalence with the engine is by construction,
+not by luck:
 
 * **Bytes** — outgoing payloads pass through the same
   :class:`~repro.runtime.channels.WireTransport` submit path
@@ -39,21 +43,24 @@ retransmits — transient drops heal, stalls exhaust their retries and
 are reported for blame).
 
 Kill-and-rejoin: a respawned incarnation replays its journaled receives
-through a rebuilt generator (sends suppressed against the send journal,
-exactly :meth:`Engine._drive_replay`'s discipline), announces its
-consumed-message watermarks, and peers resend the unconsumed suffix of
-each stream out-of-band while resetting their encoder tables for the
-new connection epoch.
+through a rebuilt generator (the driver's replay, sends suppressed
+against the send journal), announces its consumed-message watermarks,
+and peers resend the unconsumed suffix of each stream out-of-band while
+resetting their encoder tables for the new connection epoch.
+
+Deadlines are the coordinator's: each blocked host reports what it
+waits on (``STATUS``), and the coordinator's wall-clock supervisor
+blames by the engine's rule once the whole cohort has gone quiet.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import os
 import pickle
 import signal
 from collections import deque
-from dataclasses import replace
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.parties import (
@@ -65,6 +72,7 @@ from repro.core.parties import (
 from repro.math.rng import SeededRNG
 from repro.runtime.channels import Message, NextRound, Recv, WireTransport
 from repro.runtime.checkpoint import CheckpointError, CheckpointManager
+from repro.runtime.driver import PartyDriver
 from repro.runtime.errors import PartyCrashed, ProtocolAbort, ProtocolError
 from repro.runtime.faults import FaultInjector
 from repro.runtime.transport import frames
@@ -75,16 +83,8 @@ from repro.runtime.transport.frames import PartySpec, TransportError, ResultBund
 #: legible).
 EXIT_FAULT_DEATH = 70
 
-#: Set ``REPRO_TRANSPORT_DEBUG=1`` to trace every host's frame handling
-#: and mailbox activity on stderr (all party processes inherit it).
-_DEBUG = bool(os.environ.get("REPRO_TRANSPORT_DEBUG"))
-
-
-def _debug(pid: int, text: str) -> None:
-    if _DEBUG:
-        import sys
-
-        print(f"[host {pid}] {text}", file=sys.stderr, flush=True)
+#: Frame handling and mailbox activity at DEBUG level.
+log = logging.getLogger(__name__)
 
 
 class _GracefulExit(Exception):
@@ -166,7 +166,7 @@ class PartyHost:
         # journaled state on top), so keep the pickled form.
         self._rng_blob = pickle.dumps(spec.rng)
         self.party: Any = None
-        self.gen: Any = None
+        self.driver: Optional[PartyDriver] = None
         self.mailbox = OrderedMailbox(
             self.pid, set(spec.active_ids) | {INITIATOR_ID}
         )
@@ -203,8 +203,6 @@ class PartyHost:
         # the resend source when a peer rejoins.  Payloads are retained
         # post-transcode, i.e. exactly what the receiver would observe.
         self._retained: Dict[Tuple[int, str], List[Tuple[Any, int, int]]] = {}
-        self._replaying = False
-        self._replay_sends: Deque[Tuple[int, str]] = deque()
         self._death_commits = spec.prior_fault_deaths
         self._stop_reason: Optional[str] = None
         self._abort_received = False
@@ -249,22 +247,15 @@ class PartyHost:
             src=src, dst=dst, tag=tag, payload=payload,
             size_bits=size_bits, round_sent=self._round,
         )
-        if self._replaying:
-            if self._replay_sends:
-                expected = self._replay_sends.popleft()
-                if expected != (dst, tag):
-                    raise CheckpointError(
-                        f"replay divergence: party {src} sent "
-                        f"({dst}, {tag!r}) but its journal says {expected}"
-                    )
-                if self.sender_faults is not None:
-                    # The first life ran this send through the injector
-                    # and survived (it made the journal) — advance the
-                    # rebuilt injector's match windows identically so the
-                    # fault that killed us does not re-arm from zero.
-                    self.sender_faults.on_send(message, self._round)
-                return  # the first life already put this on the wire
-            self._finish_replay()
+        assert self.driver is not None  # sends happen inside driver steps
+        if self.driver.suppress_send(dst, tag):
+            if self.sender_faults is not None:
+                # The first life ran this send through the injector and
+                # survived (it made the journal) — advance the rebuilt
+                # injector's match windows identically so the fault
+                # that killed us does not re-arm from zero.
+                self.sender_faults.on_send(message, self._round)
+            return  # the first life already put this on the wire
         if self.sender_faults is not None:
             # One commit per prior fault death: the dying send was never
             # journaled, so its window consumption is invisible to the
@@ -333,10 +324,9 @@ class PartyHost:
         self.writer.write(frames.pack_msg(header, body))
 
     def note_phase(self, party: Any) -> None:
-        if self._replaying:
-            return  # the first life already snapshotted these boundaries
-        if self.manager is not None:
-            self.manager.snapshot_party(party, self._round)
+        assert self.driver is not None  # phases change inside driver steps
+        if not self.driver.note_phase(self._round):
+            return  # replaying: the first life already reported these
         self._send_json(frames.PHASE, {
             "party": self.pid, "phase": party.phase, "round": self._round,
         })
@@ -430,8 +420,8 @@ class PartyHost:
                 )
 
     def _deliver(self, message: Message) -> None:
-        _debug(self.pid, f"deliver {message.src}->{message.dst} "
-                         f"{message.tag} r={message.round_sent}")
+        log.debug("P%d deliver %d->%d %s r=%d", self.pid, message.src,
+                  message.dst, message.tag, message.round_sent)
         if self.party is None:
             # Checkpoint resume is still off in the executor; park the
             # message until _drive constructs the party and flushes.
@@ -470,70 +460,6 @@ class PartyHost:
 
     # -- generator driving --------------------------------------------------
 
-    def _step_once(self, feed: Optional[Message],
-                   first: bool = False) -> Tuple[Any, bool]:
-        self.group.attach_counter(self.party.metrics.ops)
-        try:
-            effect = next(self.gen) if first else self.gen.send(feed)
-        except StopIteration:
-            return None, True
-        finally:
-            self.group.attach_counter(None)
-        return effect, False
-
-    def _finish_replay(self) -> None:
-        self._replaying = False
-        if self.manager is not None:
-            self.manager.finish_replay(self.pid)
-
-    def _drive_replay(self, plan: Any) -> Tuple[str, Any]:
-        """Replay the journal through the rebuilt generator
-        (:meth:`Engine._drive_replay`'s discipline): feed journaled
-        receives in order, skip round pauses the first life waited out,
-        suppress journaled sends (checked off inside :meth:`submit`),
-        and go live at the first send past the journal."""
-        received = plan.received
-        index = 0
-        feed: Optional[Message] = None
-        first = True
-        while True:
-            effect, done = self._step_once(feed, first=first)
-            first = False
-            feed = None
-            if done:
-                if self._replaying:
-                    raise CheckpointError(
-                        f"party {self.pid} finished mid-replay; its journal "
-                        "does not match a deterministic re-execution"
-                    )
-                return "finished", None
-            if isinstance(effect, NextRound):
-                if self._replaying:
-                    continue  # the first life already waited this out
-                return "effect", effect
-            if not isinstance(effect, Recv):
-                raise ProtocolError(
-                    f"party {self.pid} yielded {effect!r}; parties may only "
-                    "yield Recv or NextRound"
-                )
-            if self._replaying:
-                if index >= len(received):
-                    raise CheckpointError(
-                        f"party {self.pid} blocked on {effect!r} mid-replay "
-                        "with no journaled message left"
-                    )
-                message = received[index]
-                if not effect.matches(message):
-                    raise CheckpointError(
-                        f"replay divergence: party {self.pid} wants "
-                        f"{effect!r} but its journal delivers "
-                        f"({message.src}, {message.tag!r})"
-                    )
-                index += 1
-                feed = replace(message, accounted=True)
-                continue
-            return "effect", effect
-
     def _advance_round(self) -> None:
         self._round += 1
         self._batch_seen.clear()
@@ -550,8 +476,9 @@ class PartyHost:
             raise _GracefulExit()
 
     async def _wait_for(self, want: Recv) -> Message:
-        _debug(self.pid, f"blocked on src={want.src} tag={want.tag} "
-                         f"(next_expected={self.mailbox.next_expected(want.tag)})")
+        log.debug("P%d blocked on src=%s tag=%s (next_expected=%s)",
+                  self.pid, want.src, want.tag,
+                  self.mailbox.next_expected(want.tag))
         self._send_json(frames.STATUS, {
             "party": self.pid, "phase": self.party.phase,
             "round": self._round,
@@ -652,11 +579,12 @@ class PartyHost:
                         self.manager.register_party, self.party
                     )
             self.party._engine = self
-            self.gen = self.party.protocol()
+            driver = self.driver = PartyDriver(
+                self.party, [self.group], self.manager, plan=plan
+            )
+            # A rejoining party replays its whole journal in this step.
+            effect = driver.step()
             if plan is not None:
-                self._replaying = True
-                self._replay_sends = plan.sends
-                state, effect = self._drive_replay(plan)
                 assert self.manager is not None  # rejoin implies a manager
                 watermarks = await self._offload(
                     self.manager.consumed_watermarks, self.pid
@@ -665,20 +593,13 @@ class PartyHost:
                     "party": self.pid, "incarnation": spec.incarnation,
                     "watermarks": watermarks,
                 })
-                await self._drain()
-                if state == "finished":
-                    return await self._finish()
-            else:
-                effect, done = self._step_once(None, first=True)
-                if done:
-                    return await self._finish()
-            while True:
+            while effect is not None:
                 await self._drain()
                 self._check_interrupts()
+                message: Optional[Message] = None
                 if isinstance(effect, NextRound):
                     self._advance_round()
-                    effect, done = self._step_once(None)
-                elif isinstance(effect, Recv):
+                else:
                     message = self.mailbox.try_take(effect)
                     if message is None:
                         message = await self._wait_for(effect)
@@ -688,14 +609,8 @@ class PartyHost:
                             self.manager.journal_receive,
                             self.pid, message, self._round,
                         )
-                    effect, done = self._step_once(message)
-                else:
-                    raise ProtocolError(
-                        f"party {self.pid} yielded {effect!r}; parties may "
-                        "only yield Recv or NextRound"
-                    )
-                if done:
-                    return await self._finish()
+                effect = driver.step(message)
+            return await self._finish()
         except PartyCrashed as crash:
             return await self._die(crash)
         except ProtocolAbort as abort:
@@ -720,8 +635,8 @@ class PartyHost:
         except _TransportAbort:
             return 1
         finally:
-            if self.gen is not None:
-                self.gen.close()
+            if self.driver is not None:
+                self.driver.close()
 
     async def _finish(self) -> int:
         bundle = ResultBundle(
@@ -772,8 +687,8 @@ class PartyHost:
         return EXIT_FAULT_DEATH
 
     async def _graceful(self) -> int:
-        if (self.manager is not None and self.party is not None
-                and not self._replaying):
+        if (self.manager is not None and self.driver is not None
+                and not self.driver.replaying):
             # Final durable checkpoint: a later --resume or rejoin picks
             # up from this boundary instead of losing the phase.
             await self._offload(
@@ -818,7 +733,8 @@ class PartyHost:
         try:
             while True:
                 ftype, body = await frames.read_frame(self.reader)
-                _debug(self.pid, f"frame type={ftype} len={len(body)}")
+                log.debug("P%d frame type=%d len=%d", self.pid, ftype,
+                          len(body))
                 self._handle_frame(ftype, body)
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             self._lose_connection()
