@@ -2,8 +2,9 @@
 
 Pipeline (DESIGN.md §5, substitution 1):
 
-1. **Counting run** — execute the real framework protocol end-to-end
-   over a :class:`repro.analysis.counting.CountingGroup` that mimics the
+1. **Counting run** — :func:`repro.analysis.planner.counting_run`
+   executes the real framework protocol end-to-end over a
+   :class:`repro.analysis.counting.CountingGroup` that mimics the
    target family's wire sizes.  This yields the exact per-participant
    operation counts and the exact message transcript for the given
    ``(n, m, d1, d2, h)``.  Counting runs match fully-real runs
@@ -24,18 +25,20 @@ Results are cached per process and appended to
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.analysis.complexity import ss_framework_participant_cost
-from repro.analysis.costmodel import CostModel, calibrate_dl, calibrate_ecc, calibrate_field
-from repro.analysis.counting import CountingGroup
-from repro.core.framework import FrameworkConfig, FrameworkResult, GroupRankingFramework
-from repro.core.gain import AttributeSchema, InitiatorInput, ParticipantInput
+# The counting run, its pricing and the tier table live in repro.analysis
+# (the deployment planner uses the same pipeline); the benches import
+# them from here.
+from repro.analysis.costmodel import TIERS, calibrate_field
+from repro.analysis.planner import (
+    counting_run,
+    counting_run_for_family,
+    framework_participant_seconds,
+)
 from repro.groups.base import OperationCounter
-from repro.math.rng import SeededRNG
-from repro.runtime.transcript import Transcript
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -43,117 +46,15 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: stated; we use d2=15 to match the symmetric sweep ranges.
 PAPER_DEFAULTS = dict(n=25, m=10, t=4, d1=15, d2=15, h=15)
 
-#: Fig. 3(a) tiers: symmetric level -> (DL modulus bits, curve bits).
-TIERS = {80: (1024, 160), 112: (2048, 224), 128: (3072, 256)}
-
 
 def full_sweeps() -> bool:
     """Opt into the paper's largest parameter points (slower)."""
     return os.environ.get("REPRO_BENCH_FULL", "") == "1"
 
 
-@dataclass
-class CountedRun:
-    """Everything a counting run produces."""
-
-    n: int
-    beta_bits: int
-    max_participant_ops: OperationCounter
-    initiator_ops: OperationCounter
-    transcript: Transcript
-    rounds: int
-
-
-_COUNT_CACHE: Dict[Tuple, CountedRun] = {}
-
-
-def counting_run(
-    n: int,
-    m: int = 10,
-    t: int = 4,
-    d1: int = 15,
-    d2: int = 15,
-    h: int = 15,
-    element_bits: int = 1024,
-    order_bits: Optional[int] = None,
-    wire: str = "declared",
-    coalesce: bool = True,
-) -> CountedRun:
-    """Execute the real protocol on an inert group; return exact counts.
-
-    ``wire="measured"`` routes every message through the wire transport
-    so the transcript carries *measured* encoded bytes (envelopes,
-    framing, per-round coalescing per ``coalesce``) instead of the
-    analytic declared sizes — the counting group reports the target
-    family's element width, so encoded sizes match the real family's.
-    """
-    key = (n, m, t, d1, d2, h, element_bits, order_bits, wire, coalesce)
-    if key in _COUNT_CACHE:
-        return _COUNT_CACHE[key]
-    schema = AttributeSchema(
-        names=tuple(f"q{i}" for i in range(m)),
-        num_equal=t,
-        value_bits=d1,
-        weight_bits=d2,
-    )
-    rng = SeededRNG(1)
-    bound = 1 << d1
-    initiator = InitiatorInput.create(
-        schema,
-        [rng.randrange(bound) for _ in range(m)],
-        [rng.randrange(1 << d2) for _ in range(m)],
-    )
-    participants = [
-        ParticipantInput.create(schema, [rng.randrange(bound) for _ in range(m)])
-        for _ in range(n)
-    ]
-    group = CountingGroup(element_bits=element_bits, order_bits=order_bits)
-    config = FrameworkConfig(
-        group=group, schema=schema, num_participants=n,
-        k=max(1, n // 8), rho_bits=h,
-        wire=wire, coalesce=coalesce,
-    )
-    framework = GroupRankingFramework(config, initiator, participants, rng=SeededRNG(2))
-    result = framework.run()
-    participant_ops = max(
-        (metrics.ops for metrics in result.participant_metrics()),
-        key=lambda ops: ops.equivalent_multiplications,
-    )
-    run = CountedRun(
-        n=n,
-        beta_bits=config.beta_bits,
-        max_participant_ops=participant_ops,
-        initiator_ops=result.metrics[0].ops,
-        transcript=result.transcript,
-        rounds=result.rounds,
-    )
-    _COUNT_CACHE[key] = run
-    return run
-
-
-def counting_run_for_family(family: str, level: int = 80, **params) -> CountedRun:
-    """Counting run with the wire sizes of the given family/tier."""
-    dl_bits, curve_bits = TIERS[level]
-    if family.upper() == "DL":
-        return counting_run(element_bits=dl_bits, order_bits=dl_bits - 1, **params)
-    if family.upper() == "ECC":
-        return counting_run(element_bits=curve_bits + 1, order_bits=curve_bits, **params)
-    raise ValueError("family must be DL or ECC")
-
-
 # ---------------------------------------------------------------------------
 # Time estimation
 # ---------------------------------------------------------------------------
-
-def framework_participant_seconds(run: CountedRun, family: str, level: int = 80) -> float:
-    """Counted participant workload at calibrated per-op costs."""
-    dl_bits, curve_bits = TIERS[level]
-    if family.upper() == "DL":
-        model = calibrate_dl(dl_bits)
-    else:
-        model = calibrate_ecc({160: "secp160r1", 224: "secp224r1", 256: "secp256r1"}[curve_bits])
-    return model.seconds_for(run.max_participant_ops)
-
 
 def ss_participant_seconds(n: int, beta_bits: int) -> float:
     """SS baseline time under the paper's Section VI-B accounting."""

@@ -13,7 +13,7 @@ costs the sharding exists to cut:
   (merged as the synthetic ``shard-aggregate`` transcript round).
 
 Acceptance bars (ISSUE 8): the sharded run must beat flat by ≥3x on
-both metrics, and the measured counts must agree with the symbolic
+both metrics, and the measured counts must agree with the closed-form
 ``CrossoverModel`` within documented constant factors.  The model
 counts abstract units (every group multiplication equally, analytic
 ciphertext sizes), the run counts concrete ones (multi-exp ladders,
@@ -36,7 +36,7 @@ import time
 import pytest
 
 from benchmarks.harness import RESULTS_DIR, write_result
-from repro.analysis.symbolic import CrossoverModel
+from repro.analysis.complexity import CrossoverModel
 from repro.core.framework import FrameworkConfig, GroupRankingFramework
 from repro.core.gain import AttributeSchema, InitiatorInput, ParticipantInput
 from repro.groups.params import make_test_group
@@ -172,7 +172,7 @@ def test_sharded_vs_flat_speedup():
     assert mult_speedup >= MIN_SPEEDUP, payload
     assert bit_speedup >= MIN_SPEEDUP, payload
 
-    # The symbolic model must track every measured count within the
+    # The crossover model must track every measured count within the
     # documented constant-factor band, and must place the crossover at
     # or below the bench point (sharding already winning at n=64).
     for name, ratio in agreement.items():

@@ -16,6 +16,7 @@ import pytest
 
 from benchmarks.harness import PAPER_DEFAULTS, counting_run, growth_exponent, write_result
 from repro.analysis.complexity import (
+    CrossoverModel,
     aggregation_candidates,
     framework_participant_bits,
     framework_participant_cost,
@@ -27,7 +28,6 @@ from repro.analysis.complexity import (
     ss_framework_participant_cost,
     ss_framework_round_count,
 )
-from repro.analysis.symbolic import CrossoverModel
 from repro.core.gain import beta_bit_length
 
 L = beta_bit_length(PAPER_DEFAULTS["m"], PAPER_DEFAULTS["d1"],
@@ -115,7 +115,7 @@ def build_sharded_table(shard_size=16, k=2):
 
 def test_tab_vib_sharded(benchmark):
     """Cross-validate the sharded closed forms: sub-quadratic totals,
-    symbolic-model agreement, and a crossover below the bench point."""
+    crossover-model agreement, and a crossover below the bench point."""
     table, data = build_sharded_table()
     print("\n" + table)
     write_result("tab_complexity_sharded", table)
@@ -143,7 +143,7 @@ def test_tab_vib_sharded(benchmark):
     flat_bits_order = growth_exponent(ns, [data[n][2] for n in ns])
     assert bits_order < flat_bits_order, (bits_order, flat_bits_order)
 
-    # The symbolic model reproduces the same closed forms exactly when
+    # The crossover model reproduces the same closed forms exactly when
     # the shard size divides n, and places the crossover below n=64.
     model = CrossoverModel(16, L, LAMBDA, 2, ciphertext_bits=2 * 161)
     for n in ns:

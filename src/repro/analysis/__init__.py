@@ -1,22 +1,25 @@
 """Analysis layer: complexity models, calibrated timing, security games.
 
 * :mod:`repro.analysis.complexity` — the closed-form operation/round/bit
-  counts of paper Section VI-B, for both the framework and the SS
-  baseline.
+  counts of paper Section VI-B, for the framework, the SS baseline and
+  the hierarchical (sharded) composition, plus the
+  :class:`CrossoverModel` over them that predicts the flat-vs-sharded
+  crossover and backs ``--shard-size auto``.
 * :mod:`repro.analysis.costmodel` — converts operation counts (measured
   from real protocol runs or from the complexity formulas) into seconds
   using per-operation costs calibrated on this machine at the true group
-  sizes.
+  sizes, for the paper's one table of security tiers.
+* :mod:`repro.analysis.planner` — the counting run (the real protocol
+  over an inert group, exact counts) priced per tier; both
+  :func:`estimate_deployment` and the figure benches use it.
 * :mod:`repro.analysis.games` — executable versions of the paper's
   security definitions (IND-CPA, gain hiding, identity unlinkability) as
   statistical experiments, including the concrete attacks that succeed
   when the shuffle or the rerandomization is ablated.
-* :mod:`repro.analysis.symbolic` — the sympy-backed
-  :class:`CrossoverModel` over the hierarchical (sharded) closed forms,
-  predicting the flat-vs-sharded crossover point.
 """
 
 from repro.analysis.complexity import (
+    CrossoverModel,
     framework_participant_cost,
     framework_round_count,
     initiator_cost,
@@ -25,8 +28,8 @@ from repro.analysis.complexity import (
     sharded_participant_cost,
     ss_framework_participant_cost,
     ss_framework_round_count,
+    suggest_shard_size,
 )
-from repro.analysis.symbolic import CrossoverModel, suggest_shard_size
 from repro.analysis.costmodel import CostModel, calibrate_dl, calibrate_ecc, calibrate_field
 from repro.analysis.counting import CountingGroup
 from repro.analysis.leakage import (

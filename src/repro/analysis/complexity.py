@@ -6,18 +6,21 @@ units the paper uses.  Each formula documents which protocol step it
 accounts for; constants follow the paper's own accounting (an
 exponentiation with a ``λ``-bit exponent is ``1.5·λ`` multiplications).
 
-These formulas serve two purposes:
+These formulas serve three purposes:
 
 * the TAB-VIB bench regenerates the paper's asymptotic comparison table;
 * the FIG-2/FIG-3 benches cross-validate them against operation counts
   *measured* from real protocol runs (they agree within the constant
-  factors documented in EXPERIMENTS.md).
+  factors documented in EXPERIMENTS.md);
+* :class:`CrossoverModel` prices flat vs sharded runs with them and
+  backs ``--shard-size auto`` (:func:`suggest_shard_size`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.sharding.partition import shard_sizes
 from repro.sharing.comparison import nishide_ohta_cost
@@ -94,10 +97,13 @@ def initiator_cost(n: int, m: int) -> float:
 def framework_round_count(n: int) -> int:
     """Communication rounds of the framework: linear in ``n`` (Section VI-B).
 
-    Phase 1 is 2 rounds; keying/ZKP is 4; β publication 1; τ delivery 1;
-    the chain contributes ``n`` sequential hops; submission 1.
+    Phase 1 is 2 rounds (request, response); keying/ZKP is 3 (key share
+    with commitment, challenge, response); β publication 1; τ delivery
+    1; the chain contributes ``n`` sequential hops, the last delivering
+    the final set; submission 1.  Counted for the default interactive
+    ZKP mode.
     """
-    return n + 9
+    return n + 8
 
 
 def framework_participant_bits(n: int, l: int, ciphertext_bits: int) -> int:
@@ -282,6 +288,43 @@ def aggregation_probe_estimate(candidates: int) -> int:
     return max(1, math.ceil(math.log2(max(2, candidates)))) + 2
 
 
+def _winner_comparators(k_eff: int) -> int:
+    """Comparators of the winners-only Batcher network over k_eff lanes."""
+    return batcher_odd_even(k_eff).comparator_count if k_eff > 1 else 0
+
+
+def _aggregation_invocations(c, k_eff, l: int) -> float:
+    """Aggregation multiplications among ``c`` candidates (see below).
+
+    ``c`` may be fractional: :class:`CrossoverModel` passes its smooth
+    candidate count ``k·n/s``.
+    """
+    if c <= 1:
+        return 0.0
+    lsb = lsb_comparison_invocations(aggregation_field_bits(l))
+    probe_mults = aggregation_probe_estimate(c) * c * lsb
+    network_mults = _winner_comparators(k_eff) * (lsb + 2)
+    return float(probe_mults + network_mults)
+
+
+def _aggregation_bits(c, k_eff, l: int) -> float:
+    """Aggregation field-element bits among ``c`` candidates (see below)."""
+    if c <= 1:
+        return 0.0
+    w = aggregation_field_bits(l)
+    pairwise = c * (c - 1)
+    comparison = lsb_comparison_messages(w, c)
+    messages = (
+        pairwise                                          # input shares
+        + aggregation_probe_estimate(c) * (c * comparison + pairwise)
+        + c * pairwise                                    # member reveal
+        + 2 * k_eff * (c - 1)                             # lane shares
+        + _winner_comparators(k_eff) * (comparison + 2 * pairwise)
+        + k_eff * pairwise                                # index-lane opens
+    )
+    return float(messages * w)
+
+
 def aggregation_invocation_count(
     n: int, shard_size: int, k: int, l: int
 ) -> float:
@@ -294,17 +337,7 @@ def aggregation_invocation_count(
     success path.
     """
     c = aggregation_candidates(n, shard_size, k)
-    k_eff = min(k, c)
-    if c <= 1:
-        return 0.0
-    w = aggregation_field_bits(l)
-    lsb = lsb_comparison_invocations(w)
-    probe_mults = aggregation_probe_estimate(c) * c * lsb
-    comparators = (
-        batcher_odd_even(k_eff).comparator_count if k_eff > 1 else 0
-    )
-    network_mults = comparators * (lsb + 2)
-    return float(probe_mults + network_mults)
+    return _aggregation_invocations(c, min(k, c), l)
 
 
 def sharded_aggregation_bits(
@@ -318,19 +351,183 @@ def sharded_aggregation_bits(
     ``l + 2``-bit field-element width.
     """
     c = aggregation_candidates(n, shard_size, k)
-    k_eff = min(k, c)
-    if c <= 1:
-        return 0.0
-    w = aggregation_field_bits(l)
-    pairwise = c * (c - 1)
-    probes = aggregation_probe_estimate(c)
-    messages = c * (c - 1)                                # input shares
-    messages += probes * (c * lsb_comparison_messages(w, c) + pairwise)
-    messages += c * pairwise                              # member reveal
-    comparators = (
-        batcher_odd_even(k_eff).comparator_count if k_eff > 1 else 0
-    )
-    messages += 2 * k_eff * (c - 1)                       # lane shares
-    messages += comparators * (lsb_comparison_messages(w, c) + 2 * pairwise)
-    messages += k_eff * pairwise                          # index-lane opens
-    return float(messages * w)
+    return _aggregation_bits(c, min(k, c), l)
+
+
+# ---------------------------------------------------------------------------
+# The flat-vs-sharded crossover model
+# ---------------------------------------------------------------------------
+#
+# The closed forms above with s, l, λ, k and the ciphertext width fixed,
+# as functions of n alone: from which n onward does sharding beat the
+# flat protocol, and by how much?  Flat totals are cubic in n (the
+# Θ(l·n²·λ) shuffle chain per participant); sharded totals are linear
+# (the same formula frozen at n = s) plus, for bits, the aggregation's
+# Θ̃((k·n/s)³) field-element traffic, which eventually catches up
+# (:meth:`CrossoverModel.aggregation_dominates_beyond`).  The
+# aggregation's field multiplications are a different unit and are
+# reported separately.  Every shard is taken to have exactly s members
+# and the candidate count is the smooth c = k·n/s, so the model equals
+# the partition-based forms whenever s | n (and k ≤ s).
+
+#: Metrics :meth:`CrossoverModel.crossover` understands.
+METRICS = ("multiplications", "bits")
+
+
+class CrossoverModel:
+    """Flat-vs-sharded totals as functions of the participant count n."""
+
+    def __init__(
+        self,
+        shard_size: int,
+        l: int,
+        lambda_bits: int,
+        k: int,
+        ciphertext_bits: int,
+        naive_suffix: bool = False,
+    ):
+        if shard_size < 2:
+            raise ValueError("shard_size must be at least 2")
+        if not 1 <= k <= shard_size:
+            raise ValueError("the candidate count k·n/s needs k <= shard_size")
+        self.shard_size = shard_size
+        self.l = l
+        self.lambda_bits = lambda_bits
+        self.k = k
+        self.ciphertext_bits = ciphertext_bits
+        self.naive_suffix = naive_suffix
+
+    # -- evaluation ------------------------------------------------------
+
+    def _multiplications(self, size: int) -> float:
+        return framework_participant_cost(
+            size, self.l, self.lambda_bits, naive_suffix=self.naive_suffix
+        ).total
+
+    def _shard_level_bits(self, n: int) -> float:
+        return n * framework_participant_bits(
+            self.shard_size, self.l, self.ciphertext_bits
+        )
+
+    def _candidates(self, n: int) -> float:
+        return self.k * n / self.shard_size
+
+    def evaluate(self, metric: str, n: int, sharded: bool) -> float:
+        """One total cost at n (sharded excludes the aggregation's field
+        multiplications, which are a different unit)."""
+        if metric == "multiplications":
+            return float(n * self._multiplications(
+                self.shard_size if sharded else n
+            ))
+        if metric == "bits":
+            if not sharded:
+                return float(
+                    n * framework_participant_bits(n, self.l, self.ciphertext_bits)
+                )
+            return self._shard_level_bits(n) + _aggregation_bits(
+                self._candidates(n), self.k, self.l
+            )
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+
+    def speedup(self, metric: str, n: int) -> float:
+        """Model-predicted flat/sharded ratio at n (> 1 means sharding wins)."""
+        sharded = self.evaluate(metric, n, sharded=True)
+        if sharded == 0:
+            return math.inf
+        return self.evaluate(metric, n, sharded=False) / sharded
+
+    # -- crossovers ------------------------------------------------------
+
+    def crossover(self, metric: str, n_max: int = 4096) -> Optional[int]:
+        """Smallest n > shard_size where the sharded cost drops below flat,
+        or ``None`` if sharding never wins below ``n_max``."""
+        for n in range(self.shard_size + 1, n_max + 1):
+            if self.evaluate(metric, n, True) < self.evaluate(metric, n, False):
+                return n
+        return None
+
+    def aggregation_dominates_beyond(self, n_max: int = 1 << 22) -> Optional[int]:
+        """Scale at which the aggregation outweighs the shard-level bits.
+
+        The candidate-count term grows like ``Θ̃(c³)``, so one-level
+        sharding stops being bit-cheaper than its own shards somewhere;
+        geometric scan for the first n (ceiling'd to a multiple of s)
+        where aggregation bits exceed the shard-level bits.  ``None``
+        means not within ``n_max`` — recursion is not yet worthwhile.
+        """
+        n = 2 * self.shard_size
+        while n <= n_max:
+            aggregation = _aggregation_bits(self._candidates(n), self.k, self.l)
+            if aggregation > self._shard_level_bits(n):
+                return n
+            n = -(-(n * 2) // self.shard_size) * self.shard_size
+        return None
+
+    def sharded_total(self, metric: str, n: int) -> float:
+        """Total sharded cost at n — what :func:`suggest_shard_size`
+        minimises over candidate shard sizes."""
+        return self.evaluate(metric, n, sharded=True)
+
+    def summary(self, n: int) -> Dict[str, float]:
+        """All model outputs at one n — what the bench writes to JSON."""
+        c = self._candidates(n)
+        return {
+            "n": n,
+            "shard_size": self.shard_size,
+            "k": self.k,
+            "flat_multiplications": self.evaluate("multiplications", n, False),
+            "sharded_multiplications": self.evaluate("multiplications", n, True),
+            "flat_bits": self.evaluate("bits", n, False),
+            "sharded_bits": self.evaluate("bits", n, True),
+            "aggregation_bits": _aggregation_bits(c, self.k, self.l),
+            "aggregation_multiplications": _aggregation_invocations(
+                c, self.k, self.l
+            ),
+            "multiplication_speedup": self.speedup("multiplications", n),
+            "bit_speedup": self.speedup("bits", n),
+        }
+
+
+def suggest_shard_size(
+    n: int,
+    l: int,
+    *,
+    k: int = 2,
+    lambda_bits: int = 160,
+    ciphertext_bits: int = 2 * 161,
+    metric: str = "multiplications",
+    naive_suffix: bool = False,
+    s_max: int = 128,
+) -> int:
+    """Model-optimal shard size for an (n, l) deployment, or 0 for flat.
+
+    Sweeps candidate shard sizes s ∈ [max(2, k), min(n-1, s_max)],
+    evaluates the sharded total cost at n under the crossover model, and
+    returns the cheapest s — or **0** (the flat protocol) when no
+    candidate beats flat, so the result can be assigned directly to
+    ``FrameworkConfig.shard_size``.  This is the ``--shard-size auto``
+    backend: per-shard work grows ~s² per participant while the champion
+    aggregation grows like (k·n/s)³, so the optimum is interior and the
+    bounded sweep finds it exactly within the model's assumptions
+    (balanced shards, k ≤ s).
+    """
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    lo = max(2, k)
+    hi = min(n - 1, s_max)
+    if lo > hi:
+        return 0
+    best_s = 0
+    best_cost = CrossoverModel(
+        lo, l, lambda_bits, k, ciphertext_bits, naive_suffix=naive_suffix
+    ).evaluate(metric, n, sharded=False)
+    for s in range(lo, hi + 1):
+        model = CrossoverModel(
+            s, l, lambda_bits, k, ciphertext_bits, naive_suffix=naive_suffix
+        )
+        cost = model.sharded_total(metric, n)
+        if cost < best_cost:
+            best_s, best_cost = s, cost
+    return best_s

@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.groups.base import Group, OperationCounter
 from repro.groups.curves import get_curve
@@ -121,15 +122,34 @@ def calibrate_field(field_bits: int, repetitions: int = 50_000) -> CostModel:
     )
 
 
-def cost_model_for(family: str, security_level: int) -> CostModel:
-    """The paper's Fig. 3(a) tiers: family in {"DL", "ECC"}."""
-    tiers = {80: (1024, "secp160r1"), 112: (2048, "secp224r1"), 128: (3072, "secp256r1")}
-    if security_level not in tiers:
-        raise ValueError(f"unsupported security level {security_level}")
-    dl_bits, curve = tiers[security_level]
+class Tier(NamedTuple):
+    """One security tier: DL modulus bits, standard curve, curve bits."""
+
+    dl_bits: int
+    curve: str
+    curve_bits: int
+
+
+#: The paper's Fig. 3(a) tiers, keyed by symmetric security level.
+TIERS = {
+    80: Tier(1024, "secp160r1", 160),
+    112: Tier(2048, "secp224r1", 224),
+    128: Tier(3072, "secp256r1", 256),
+}
+
+
+def check_tier(family: str, level: int) -> str:
+    """Reject an unknown family or level; returns the family upper-cased."""
+    if level not in TIERS:
+        raise ValueError(f"level must be one of {sorted(TIERS)}")
     family = family.upper()
-    if family == "DL":
-        return calibrate_dl(dl_bits)
-    if family == "ECC":
-        return calibrate_ecc(curve)
-    raise ValueError("family must be 'DL' or 'ECC'")
+    if family not in ("DL", "ECC"):
+        raise ValueError("family must be 'DL' or 'ECC'")
+    return family
+
+
+def cost_model_for(family: str, security_level: int) -> CostModel:
+    """Calibrated costs of one Fig. 3(a) tier: family in {"DL", "ECC"}."""
+    family = check_tier(family, security_level)
+    tier = TIERS[security_level]
+    return calibrate_dl(tier.dl_bits) if family == "DL" else calibrate_ecc(tier.curve)

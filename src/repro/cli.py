@@ -168,7 +168,7 @@ def _resolve_shard_size(value, n: int, k: int, schema, rho_bits: int,
     text = str(value).strip().lower()
     if text != "auto":
         return int(text)
-    from repro.analysis.symbolic import suggest_shard_size
+    from repro.analysis.complexity import suggest_shard_size
     from repro.core.gain import beta_bit_length
 
     l = beta_bit_length(

@@ -49,7 +49,7 @@ def aggregation_prime(beta_bits: int) -> int:
 
     Sitting just *under* a power of two makes the LSB gadget's
     rejection sampling accept with probability ``p / 2^width ≈ 1``, so
-    the measured multiplication count tracks the symbolic cost model's
+    the measured multiplication count tracks the closed-form cost model's
     deterministic formula instead of a retry-inflated one; the two
     guard bits keep every β in ``[0, p/2)`` (the comparison
     precondition) with room for the doubling inside the gadget.

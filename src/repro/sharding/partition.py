@@ -1,7 +1,7 @@
 """Deterministic shard planning.
 
 The split is a pure function of the (sorted) active id set and the
-configured shard size, so every party — and a replay, and the symbolic
+configured shard size, so every party — and a replay, and the crossover
 cost model — derives the identical layout with no extra communication.
 
 Sizes are balanced: ``ceil(n / shard_size)`` shards whose sizes differ

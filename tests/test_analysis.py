@@ -17,6 +17,8 @@ from repro.analysis.games import (
     estimate_advantage,
     ind_cpa_game,
 )
+from repro.analysis.planner import counting_run
+from repro.core.framework import FrameworkConfig, GroupRankingFramework
 from repro.groups.base import OperationCounter
 from repro.math.rng import SeededRNG
 
@@ -62,6 +64,26 @@ class TestComplexityModels:
         # Paper accounting: SS rounds explode with l and n.
         assert ss_framework_round_count(25, 66) > 1e6
         assert ss_framework_round_count(25, 66, sequential=False) < 1e3
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 12])
+    def test_round_count_matches_counting_run(self, n):
+        run = counting_run(n=n, m=4, t=2, d1=5, d2=5, h=5)
+        assert run.rounds == framework_round_count(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_round_count_matches_real_group_run(
+        self, n, small_dl_group, small_schema, small_initiator_input,
+        participants_factory,
+    ):
+        config = FrameworkConfig(
+            group=small_dl_group, schema=small_schema, num_participants=n,
+            k=1, rho_bits=6,
+        )
+        result = GroupRankingFramework(
+            config, small_initiator_input, participants_factory(small_schema, n),
+            rng=SeededRNG(n),
+        ).run()
+        assert result.rounds == framework_round_count(n)
 
     def test_initiator_linear(self):
         assert initiator_cost(50, 10) == 2 * initiator_cost(25, 10)

@@ -66,3 +66,29 @@ class TestEstimates:
         b = estimate_deployment(n=4, m=4, d1=6, d2=4, h=6, seed=9)
         assert a.participant_exponentiations == b.participant_exponentiations
         assert a.total_traffic_bits == b.total_traffic_bits
+
+
+class TestSharedCountingRun:
+    """The planner and the figure benches price one counting run."""
+
+    @pytest.mark.parametrize(
+        "family, total_bits", [("DL", 12_197_338), ("ECC", 1_931_090)]
+    )
+    def test_planner_matches_bench_harness(self, family, total_bits):
+        from benchmarks.harness import counting_run_for_family
+
+        estimate = estimate_deployment(
+            n=6, m=4, num_equal=2, d1=5, d2=5, h=5, family=family, level=80
+        )
+        run = counting_run_for_family(family, 80, n=6, m=4, t=2, d1=5, d2=5, h=5)
+        planned = (
+            estimate.participant_exponentiations,
+            estimate.rounds,
+            estimate.total_traffic_bits,
+        )
+        counted = (
+            run.max_participant_ops.exponentiations,
+            run.rounds,
+            run.transcript.total_bits,
+        )
+        assert planned == counted == (2667, 14, total_bits)

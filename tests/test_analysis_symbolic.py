@@ -1,9 +1,9 @@
-"""The symbolic crossover model vs the numeric closed forms.
+"""The crossover model vs the partition-based closed forms.
 
-The model's guarantee: with everything but n fixed at construction, its
-sympy expressions evaluate to *exactly* the numeric formulas in
+The model's guarantee: with everything but n fixed at construction, it
+evaluates to *exactly* the partition-based formulas in
 :mod:`repro.analysis.complexity` whenever the shard size divides n
-(the balanced partition is then uniform and the symbolic candidate
+(the balanced partition is then uniform and the model's candidate
 count k·n/s matches Σ min(k, sᵢ)).
 """
 
@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 
 import pytest
-import sympy
 
 from repro.analysis.complexity import (
+    CrossoverModel,
     aggregation_candidates,
     aggregation_field_bits,
     aggregation_invocation_count,
@@ -26,8 +26,8 @@ from repro.analysis.complexity import (
     sharded_aggregation_bits,
     sharded_participant_bits,
     sharded_participant_cost,
+    suggest_shard_size,
 )
-from repro.analysis.symbolic import CrossoverModel
 
 L, LAMBDA, K, S, CIPHERTEXT = 29, 1024, 2, 16, 2048
 
@@ -65,12 +65,8 @@ class TestExactAgreement:
 
     def test_aggregation_terms_match(self, model):
         n = 64
-        sym = float(
-            sympy.N(
-                model.aggregation_multiplications.subs(model.n, sympy.Integer(n))
-            )
-        )
-        assert sym == pytest.approx(
+        modeled = model.summary(n)["aggregation_multiplications"]
+        assert modeled == pytest.approx(
             aggregation_invocation_count(n, S, K, L), rel=1e-12
         )
 
@@ -147,3 +143,27 @@ class TestCrossover:
         )
         assert summary["sharded_bits"] < summary["flat_bits"]
         assert summary["aggregation_bits"] > 0
+
+
+class TestSuggestShardSize:
+    @pytest.mark.parametrize(
+        "n, l, metric, expected",
+        [
+            (3, 13, "multiplications", 2),
+            (4, 13, "bits", 3),
+            (5, 13, "bits", 3),
+            (6, 29, "bits", 4),
+            (9, 13, "bits", 4),
+            (12, 29, "bits", 5),
+        ],
+    )
+    def test_pinned_answers(self, n, l, metric, expected):
+        # Defaults: k=2, λ=160, 322-bit ciphertexts (ECC-160).
+        assert suggest_shard_size(n, l, metric=metric) == expected
+
+    def test_flat_when_no_shard_fits(self):
+        assert suggest_shard_size(2, 13) == 0
+        with pytest.raises(ValueError):
+            suggest_shard_size(1, 13)
+        with pytest.raises(ValueError):
+            suggest_shard_size(8, 13, metric="rounds")
