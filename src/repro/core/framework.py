@@ -10,7 +10,9 @@ Dropout recovery (``config.recovery=True``, an extension — the paper
 assumes every party stays live): when an attempt fails with a *typed,
 blamed* error (a crash surfacing as :class:`PartyTimeout`, or a
 :class:`ProtocolAbort` from validation), the blamed participant is
-excluded and the run deterministically restarts over the survivors:
+excluded and the run deterministically restarts over the survivors.
+:func:`run_with_recovery` is that loop, shared by the in-process run,
+the socket coordinator and the sharded phase-1 stage:
 
 * if every survivor already recovered its masked gain β in the failed
   attempt (the faulty party died *after* phase 1 — e.g. mid-keying,
@@ -22,18 +24,19 @@ excluded and the run deterministically restarts over the survivors:
 * otherwise (the fault hit phase 1 itself) the whole protocol restarts
   over the survivors, including a fresh ρ.
 
-Restart determinism: attempt ``a > 0`` forks every party RNG under an
-``"A{a}|"``-prefixed label, so reruns are seeded functions of (base
-seed, attempt number) and a replay with the same fault plan is
-byte-identical.  The fault injector itself is shared across attempts —
-its per-spec match counters keep counting, so a ``count=1`` fault does
-not re-fire on the rerun.
+Restart determinism: :meth:`Attempt.fork` prefixes every party RNG
+label of attempt ``a > 0`` with the attempt number, so reruns are
+seeded functions of (base seed, attempt number) and a replay with the
+same fault plan is byte-identical.  In process the fault injector is
+shared across attempts — its per-spec match counters keep counting, so
+a ``count=1`` fault does not re-fire on the rerun.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.gain import (
     AttributeSchema,
@@ -75,7 +78,7 @@ class FrameworkResult:
     attempts: int = 1                      # 1 = no recovery was needed
     excluded: List[int] = field(default_factory=list)  # blamed & dropped ids
     # Parties killed by a restartable fault and brought back from their
-    # durable checkpoints (they are NOT in ``excluded``).
+    # durable checkpoints (they are NOT in ``excluded``), over all attempts.
     rejoins: int = 0
     # Wire-path accounting (None for legacy declared-size runs).  After
     # a recovery, stats cover the final (successful) attempt.
@@ -174,101 +177,53 @@ class GroupRankingFramework:
                     self, faults, resume=resume, known_betas=known_betas
                 )
         with backend.use_backend(config.backend):
-            return self._run_with_recovery(faults, resume, known_betas)
+            injector = self._make_injector(faults)
+            manager = self._make_checkpoints()
+            # Exposed for tests/operators: rejoin bookkeeping lives here.
+            self.last_checkpoints = manager
+            return run_with_recovery(
+                config,
+                lambda attempt: self._run_attempt(attempt, injector, manager),
+                self._held_betas,
+                manager,
+                resume=resume,
+                known_betas=known_betas,
+            )
 
-    def _make_checkpoints(self):
-        """A checkpoint manager when the config asks for one."""
-        if self.config.checkpoint_dir is None:
+    def _make_checkpoints(self, leaf: Optional[str] = None):
+        """A checkpoint manager when the config asks for one, journaling
+        into the ``leaf`` subdirectory of ``checkpoint_dir`` if given."""
+        directory = self.config.checkpoint_dir
+        if directory is None:
             return None
         from repro.runtime.checkpoint import CheckpointManager
 
+        if leaf is not None:
+            directory = os.path.join(directory, leaf)
         return CheckpointManager(
-            self.config.checkpoint_dir, sync_every=self.config.checkpoint_every
+            directory, sync_every=self.config.checkpoint_every
         )
 
-    def _run_with_recovery(
-        self,
-        faults: Union[FaultInjector, Sequence[FaultSpec], None],
-        resume: bool = False,
-        seed_betas: Optional[Dict[int, int]] = None,
-    ) -> FrameworkResult:
-        config = self.config
-        injector = self._make_injector(faults)
-        active = list(config.participant_ids)
-        excluded: List[int] = []
-        known_betas: Dict[int, int] = dict(seed_betas) if seed_betas else {}
-        attempt = 0
-        manager = self._make_checkpoints()
-        # Exposed for tests/operators: rejoin bookkeeping lives here.
-        self.last_checkpoints = manager
-        if resume and not known_betas:
-            if manager is None:
-                raise ValueError("resume=True requires config.checkpoint_dir")
-            known_betas, attempt = manager.resume_state(active)
-        try:
-            while True:
-                try:
-                    result = self._run_attempt(
-                        active, known_betas, attempt, injector, manager
-                    )
-                except (PartyTimeout, ProtocolAbort) as failure:
-                    blamed = failure.blamed
-                    if not (
-                        config.recovery
-                        and blamed is not None
-                        and blamed != INITIATOR_ID
-                        and blamed in active
-                    ):
-                        raise
-                    if len(active) - 1 < 2:
-                        raise ProtocolError(
-                            f"cannot recover: excluding P{blamed} leaves fewer "
-                            "than 2 participants"
-                        ) from failure
-                    active = [j for j in active if j != blamed]
-                    excluded.append(blamed)
-                    known_betas = self._harvest_betas(active)
-                    attempt += 1
-                    continue
-                result.attempts = attempt + 1
-                result.excluded = list(excluded)
-                return result
-        finally:
-            if manager is not None:
-                manager.close()
-
-    def _make_injector(self, faults):
+    def _make_injector(self, faults, label: str = "faults"):
         # Anything exposing on_send (a FaultInjector, netsim's
         # LossyLinkFaults, a test double) plugs in directly; a bare
         # sequence of FaultSpec is wrapped into an injector.
         if faults is None or hasattr(faults, "on_send"):
             return faults
         return FaultInjector(
-            list(faults), rng=_fork(self._rng, "faults"), phase_of=phase_of_tag
+            list(faults), rng=_fork(self._rng, label), phase_of=phase_of_tag
         )
 
-    def _harvest_betas(self, survivors: Sequence[int]) -> Dict[int, int]:
-        """β values recoverable from the failed attempt's survivor objects.
-
-        Valid for a phase-2-only restart iff *every* survivor completed
-        phase 1 in the failed attempt — all such β share one ρ, so their
-        order is the gain order.  A partial harvest is discarded (mixing
-        β masked under different ρ would corrupt the ranking).
-        """
-        harvested: Dict[int, int] = {}
-        for j in survivors:
-            party = getattr(self, "last_parties", {}).get(j)
-            beta = getattr(party, "beta_unsigned", None)
-            if beta is None:
-                return {}
-            harvested[j] = beta
-        return harvested
+    def _held_betas(self) -> Dict[int, Optional[int]]:
+        """β each party of the last attempt holds (``None``: not yet)."""
+        return {
+            pid: getattr(party, "beta_unsigned", None)
+            for pid, party in getattr(self, "last_parties", {}).items()
+        }
 
     def _run_attempt(
         self,
-        active: List[int],
-        known_betas: Dict[int, int],
-        attempt: int,
+        attempt: Attempt,
         injector: Optional[FaultInjector],
         manager=None,
     ) -> FrameworkResult:
@@ -278,23 +233,9 @@ class GroupRankingFramework:
             from repro.runtime.parallel import WorkerPool
 
             worker_pool = WorkerPool(config.workers)
-        supervisor = Supervisor(
-            timeout_rounds=config.timeout_rounds,
-            max_retries=config.max_retries,
-            phase_of=phase_of_tag,
-            adaptive=config.adaptive_timeouts,
-        )
-        transport = None
-        if config.wire != "declared":
-            transport = WireTransport(
-                config.group,
-                codec=config.wire_codec,
-                coalesce=config.coalesce,
-                mode=config.wire,
-            )
         rng = self._rng
-        prefix = "" if attempt == 0 else f"A{attempt}|"
-        resume = bool(known_betas) and all(j in known_betas for j in active)
+        active = attempt.active
+        resume = attempt.resume
 
         def build_party(party_id: int, known_beta: Optional[int] = None):
             """Construct one party exactly as this attempt does.
@@ -310,38 +251,31 @@ class GroupRankingFramework:
                 return InitiatorParty(
                     config,
                     self.initiator_input,
-                    _fork(rng, prefix + "initiator"),
+                    attempt.fork(rng, "initiator"),
                     active_ids=active,
                     run_gain_phase=not resume,
                 )
             beta = known_beta
             if beta is None and resume:
-                beta = known_betas.get(party_id)
+                beta = attempt.known_betas.get(party_id)
             return ParticipantParty(
                 config,
                 party_id,
                 self.participant_inputs[party_id - 1],
-                _fork(rng, prefix + f"P{party_id}"),
+                attempt.fork(rng, f"P{party_id}"),
                 active_ids=active,
                 known_beta=beta,
             )
 
         if manager is not None:
-            manager.start_attempt(attempt, build_party)
-        engine = Engine(
-            metered_groups=[config.group],
-            worker_pool=worker_pool,
-            faults=injector,
-            supervisor=supervisor,
-            wire=transport,
-            checkpoints=manager,
+            manager.start_attempt(attempt.number, build_party)
+        engine, supervisor, transport = make_engine(
+            config, injector, manager, worker_pool
         )
+        attempt.supervisor = supervisor
         engine.add_party(build_party(INITIATOR_ID))
-        participants: List[ParticipantParty] = []
         for j in active:
-            party = build_party(j)
-            engine.add_party(party)
-            participants.append(party)
+            engine.add_party(build_party(j))
         if worker_pool is not None and manager is not None:
             worker_pool.register_drain(
                 lambda: manager.persist_pool_cursors(engine.parties)
@@ -364,7 +298,6 @@ class GroupRankingFramework:
         ranks = {party.party_id: party.rank for party in participants}
         betas = {party.party_id: party.beta_unsigned for party in participants}
         return FrameworkResult(
-            rejoins=supervisor.rejoins,
             ranks=ranks,
             initiator_output=outputs[0],
             transcript=engine.transcript,
@@ -492,6 +425,132 @@ class GroupRankingFramework:
                 f"initiator flagged anomalies: {result.initiator_output.anomalies}"
             )
         return problems
+
+
+@dataclass
+class Attempt:
+    """One attempt of a run, as :func:`run_with_recovery` hands it out."""
+
+    number: int                   # 0, then one more per restart
+    active: List[int]             # participants still in the run
+    # β from a failed attempt or from disk
+    known_betas: Dict[int, int] = field(repr=False)
+    #: Set by the orchestrator; its ``rejoins`` count is summed over attempts.
+    supervisor: Any = None
+
+    @property
+    def resume(self) -> bool:
+        """Every active participant holds β: the attempt starts at phase 2."""
+        return bool(self.known_betas) and all(
+            j in self.known_betas for j in self.active
+        )
+
+    def fork(self, rng: RNG, label: str) -> RNG:
+        """The attempt's RNG stream ``label`` (prefixed on a restart)."""
+        prefix = "" if self.number == 0 else f"A{self.number}|"
+        return _fork(rng, prefix + label)
+
+
+def run_with_recovery(
+    config: FrameworkConfig,
+    run_attempt: Callable[[Attempt], Any],
+    harvest: Callable[[], Dict[int, Optional[int]]],
+    manager=None,
+    *,
+    resume: bool = False,
+    known_betas: Optional[Dict[int, int]] = None,
+) -> Any:
+    """Run attempts until one completes: the one dropout-recovery loop.
+
+    ``run_attempt`` runs one :class:`Attempt` and returns a result whose
+    ``attempts``/``excluded``/``rejoins`` are set here.  A typed failure
+    blaming an active participant (with ``config.recovery``) excludes
+    it; then ``harvest()`` — each party's β when the attempt stopped —
+    seeds the rerun.  β is kept only if every survivor has one: all of
+    them are masked under one ρ, so the rerun starts at phase 2.  A
+    partial harvest is discarded (mixing β masked under different ρ
+    would corrupt the ranking), so phase 1 reruns under a fresh ρ.
+
+    ``resume=True`` restarts a run whose process died, from the durable
+    β and attempt number of the checkpoint ``manager``.  The manager, if
+    any, is closed on exit.
+    """
+    active = list(config.participant_ids)
+    excluded: List[int] = []
+    known = dict(known_betas) if known_betas else {}
+    number = 0
+    rejoins = 0
+    try:
+        if resume and not known:
+            if manager is None:
+                raise ValueError("resume=True requires config.checkpoint_dir")
+            known, number = manager.resume_state(active)
+        while True:
+            attempt = Attempt(number, list(active), known)
+            try:
+                result = run_attempt(attempt)
+            except (PartyTimeout, ProtocolAbort) as failure:
+                blamed = failure.blamed
+                if not (
+                    config.recovery
+                    and blamed is not None
+                    and blamed != INITIATOR_ID
+                    and blamed in active
+                ):
+                    raise
+                if len(active) - 1 < 2:
+                    raise ProtocolError(
+                        f"cannot recover: excluding P{blamed} leaves fewer "
+                        "than 2 participants"
+                    ) from failure
+                active = [j for j in active if j != blamed]
+                excluded.append(blamed)
+                held = harvest()
+                known = {j: held[j] for j in active if held.get(j) is not None}
+                if len(known) < len(active):
+                    known = {}
+                number += 1
+                continue
+            finally:
+                rejoins += getattr(attempt.supervisor, "rejoins", 0)
+            result.attempts = number + 1
+            result.excluded = list(excluded)
+            result.rejoins = rejoins
+            return result
+    finally:
+        if manager is not None:
+            manager.close()
+
+
+def make_engine(
+    config: FrameworkConfig, injector, manager=None, worker_pool=None
+) -> Tuple[Engine, Supervisor, Optional[WireTransport]]:
+    """The ``(engine, supervisor, transport)`` stack of one in-process
+    stage: a fresh supervisor, the measured wire path unless sizes are
+    declared, and the run's fault injector and checkpoint manager."""
+    supervisor = Supervisor(
+        timeout_rounds=config.timeout_rounds,
+        max_retries=config.max_retries,
+        phase_of=phase_of_tag,
+        adaptive=config.adaptive_timeouts,
+    )
+    transport = None
+    if config.wire != "declared":
+        transport = WireTransport(
+            config.group,
+            codec=config.wire_codec,
+            coalesce=config.coalesce,
+            mode=config.wire,
+        )
+    engine = Engine(
+        metered_groups=[config.group],
+        worker_pool=worker_pool,
+        faults=injector,
+        supervisor=supervisor,
+        wire=transport,
+        checkpoints=manager,
+    )
+    return engine, supervisor, transport
 
 
 def _fork(rng: RNG, label: str) -> RNG:

@@ -29,6 +29,8 @@ Fault tolerance (beyond the paper, which assumes all parties stay live):
 
 from __future__ import annotations
 
+import dataclasses
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -103,6 +105,21 @@ PHASE_BY_TAG: Dict[str, str] = {
 def phase_of_tag(tag: str) -> str:
     """The named framework phase a message tag belongs to."""
     return PHASE_BY_TAG.get(tag, tag)
+
+
+#: Widest masked gain β a config accepts (``beta_bits``, explicit or
+#: derived).  The dot-product field prime is searched above 2^(l+8):
+#: about 0.5 s at this ceiling on a 2-core x86 box; the paper's largest
+#: figure setting (FIG-2d, h=35) needs l=87.
+MAX_BETA_BITS = 1024
+
+#: Least value of every integer field (0 = "derive" for the two widths).
+_INT_MINIMUMS = {
+    "num_participants": 2, "k": 1, "rho_bits": 1, "beta_bits": 0,
+    "dp_field_prime": 0, "dp_expansion": 1, "precompute": 0, "workers": 1,
+    "stream_chunk_sets": 1, "timeout_rounds": 1, "max_retries": 0,
+    "checkpoint_every": 0, "shard_size": 0,
+}
 
 
 @dataclass
@@ -190,9 +207,6 @@ class FrameworkConfig:
     * ``timeout_rounds``/``max_retries`` — the supervisor's per-receive
       deadline (in engine rounds) and retransmit budget per lost
       message.
-    * ``validate_elements`` — group-membership-check every ciphertext
-      received in the comparison and chain phases (cheap, unmetered;
-      disable only for benchmarking the paper's original cost model).
     """
 
     group: Group
@@ -220,7 +234,6 @@ class FrameworkConfig:
     recovery: bool = False
     timeout_rounds: int = 6
     max_retries: int = 2
-    validate_elements: bool = True
     wire: str = "declared"          # or "measured" / "conformance"
     wire_codec: str = "v2"          # or "v1"
     coalesce: bool = True           # batch per (sender, receiver, round)
@@ -236,6 +249,27 @@ class FrameworkConfig:
     transport: str = "inproc"
 
     def __post_init__(self):
+        # Types first, so no later check or prime search sees a value of
+        # the wrong kind (a bool is not accepted where an int is due).
+        if not isinstance(self.group, Group):
+            raise TypeError("group must be a repro.groups Group")
+        if not isinstance(self.schema, AttributeSchema):
+            raise TypeError("schema must be an AttributeSchema")
+        for spec in dataclasses.fields(self):
+            value = getattr(self, spec.name)
+            if spec.type in ("bool", bool) and not isinstance(value, bool):
+                raise TypeError(f"{spec.name} must be a bool")
+            if spec.type in ("int", int):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise TypeError(f"{spec.name} must be an int")
+                if value < _INT_MINIMUMS[spec.name]:
+                    raise ValueError(
+                        f"{spec.name} must be at least {_INT_MINIMUMS[spec.name]}"
+                    )
+        if self.checkpoint_dir is not None and not isinstance(
+            self.checkpoint_dir, (str, os.PathLike)
+        ):
+            raise TypeError("checkpoint_dir must be a path or None")
         if self.zkp_mode not in ("interactive", "fiat-shamir"):
             raise ValueError("zkp_mode must be 'interactive' or 'fiat-shamir'")
         from repro.math import backend as arith_backend
@@ -250,20 +284,6 @@ class FrameworkConfig:
             )
         if self.wire_codec not in ("v1", "v2"):
             raise ValueError("wire_codec must be 'v1' or 'v2'")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.precompute < 0:
-            raise ValueError("precompute must be non-negative")
-        if self.stream_chunk_sets < 1:
-            raise ValueError("stream_chunk_sets must be at least 1")
-        if self.timeout_rounds < 1:
-            raise ValueError("timeout_rounds must be at least 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be non-negative")
-        if self.shard_size < 0:
-            raise ValueError("shard_size must be non-negative")
         if self.shard_size == 1:
             raise ValueError(
                 "shard_size must be 0 (flat) or at least 2 (a shard's "
@@ -283,14 +303,12 @@ class FrameworkConfig:
                     "workers must be 1"
                 )
         from repro.core.gain import beta_bit_length
-        from repro.math.primes import next_prime
+        from repro.math.primes import is_prime, next_prime
 
-        if self.num_participants < 2:
-            raise ValueError("the comparison phase needs at least 2 participants")
-        if not 1 <= self.k <= self.num_participants:
+        if self.k > self.num_participants:
             raise ValueError("k must be in [1, n]")
-        if self.rho_bits < 1:
-            raise ValueError("rho_bits must be positive")
+        if self.beta_mode not in ("paper", "safe"):
+            raise ValueError("beta_mode must be 'paper' or 'safe'")
         if self.beta_bits == 0:
             self.beta_bits = beta_bit_length(
                 self.schema.dimension,
@@ -299,10 +317,26 @@ class FrameworkConfig:
                 self.rho_bits,
                 mode=self.beta_mode,
             )
+        if self.beta_bits > MAX_BETA_BITS:
+            raise ValueError(
+                f"beta_bits {self.beta_bits} exceeds {MAX_BETA_BITS}; "
+                "lower rho_bits or the schema's value/weight widths"
+            )
+        # The dot product w'·v' equals the signed β, |β| < 2^(l-1);
+        # +8 guard bits keep centered decoding unambiguous.
+        floor = 1 << (self.beta_bits + 8)
         if self.dp_field_prime == 0:
-            # The dot product w'·v' equals the signed β, |β| < 2^(l-1);
-            # +8 guard bits keep centered decoding unambiguous.
-            self.dp_field_prime = next_prime(1 << (self.beta_bits + 8))
+            self.dp_field_prime = next_prime(floor)
+        elif not (
+            floor <= self.dp_field_prime
+            and self.dp_field_prime.bit_length() <= MAX_BETA_BITS + 9
+            and is_prime(self.dp_field_prime)
+        ):
+            raise ValueError(
+                f"dp_field_prime must be a prime of at least "
+                f"2^{self.beta_bits + 8} (beta_bits={self.beta_bits}) and "
+                f"at most {MAX_BETA_BITS + 9} bits"
+            )
 
     @property
     def participant_ids(self) -> List[int]:
@@ -863,10 +897,7 @@ class ParticipantParty(Party):
     def _validate_set(self, cipher_set, blamed: int) -> None:
         """Size + group-membership check on one comparison set."""
         flaw = chain_set_flaw(
-            self.config.group,
-            cipher_set,
-            self._expected_set_size(),
-            check_membership=self.config.validate_elements,
+            self.config.group, cipher_set, self._expected_set_size()
         )
         if flaw is not None:
             raise ProtocolAbort(

@@ -248,7 +248,7 @@ class Group:
 
         Groups are immutable, so a membership verdict never changes —
         the memo needs no invalidation.  Protocol runs re-validate the
-        same elements constantly (``validate_elements`` checks every
+        same elements constantly (chain validation checks every
         received ciphertext component, and hot elements like ``g``,
         ``y`` and pooled pairs recur across rounds), so the residue /
         scalar-multiplication test is paid once per distinct element.

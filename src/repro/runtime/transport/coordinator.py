@@ -14,9 +14,10 @@ the star hop).
 
 The wall-clock supervisor (:mod:`.deadlines`) converts missed deadlines
 into the same typed :class:`~repro.runtime.errors.PartyTimeout` the
-in-process supervisor raises, so the framework's recovery loop —
-exclude the blamed party, harvest β from survivors, deterministic
-restart — runs unchanged on top.  ``kill_restart`` faults and real
+in-process supervisor raises, so the framework's recovery loop
+(:func:`~repro.core.framework.run_with_recovery`: exclude the blamed
+party, harvest β from survivors, deterministic restart) drives the
+attempts, each in its own ``asyncio.run``.  ``kill_restart`` faults and real
 process deaths (``SIGKILL``) are handled by respawning the party with a
 bumped incarnation: the new process replays its durable journal,
 reports its consumed-message watermarks, and the coordinator broadcasts
@@ -37,15 +38,12 @@ import pickle
 import secrets
 import signal
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.framework import Attempt, FrameworkResult, _fork, run_with_recovery
 from repro.core.parties import INITIATOR_ID
 from repro.runtime.channels import WireStats
-from repro.runtime.errors import (
-    PartyTimeout,
-    ProtocolAbort,
-    ProtocolError,
-)
+from repro.runtime.errors import PartyTimeout, ProtocolAbort
 from repro.runtime.faults import FaultSpec
 from repro.runtime.transcript import Transcript
 from repro.runtime.transport import frames
@@ -115,83 +113,47 @@ class Coordinator:
 
     def run(self, *, resume: bool = False,
             known_betas: Optional[Dict[int, int]] = None):
-        return asyncio.run(self._run(resume=resume, known_betas=known_betas))
-
-    async def _run(self, *, resume: bool,
-                   known_betas: Optional[Dict[int, int]]):
-        config = self.config
-        active = list(config.participant_ids)
-        excluded: List[int] = []
-        known: Dict[int, int] = dict(known_betas) if known_betas else {}
-        attempt = 0
         # The coordinator creates the checkpoint store (and its master
         # key) *before* any party process starts, so concurrent children
         # never race on key creation; the children journal through their
         # own managers over the same directory.
         manager = self.framework._make_checkpoints()
         self.framework.last_checkpoints = manager
-        if resume and not known:
-            if manager is None:
-                raise ValueError("resume=True requires config.checkpoint_dir")
-            # Journal replay is sync disk IO; keep the fresh event loop
-            # responsive (party processes may already be connecting).
-            known, attempt = await asyncio.get_running_loop().run_in_executor(
-                None, manager.resume_state, active
-            )
-        rejoins = 0
-        try:
-            while True:
-                run = _Attempt(self, active, known, attempt)
-                try:
-                    result = await run.execute()
-                except (PartyTimeout, ProtocolAbort) as failure:
-                    blamed = getattr(failure, "blamed", None)
-                    if not (
-                        config.recovery
-                        and blamed is not None
-                        and blamed != INITIATOR_ID
-                        and blamed in active
-                    ):
-                        raise
-                    if len(active) - 1 < 2:
-                        raise ProtocolError(
-                            f"cannot recover: excluding P{blamed} leaves "
-                            "fewer than 2 participants"
-                        ) from failure
-                    active = [j for j in active if j != blamed]
-                    excluded.append(blamed)
-                    known = run.harvested_betas(active)
-                    rejoins += run.supervisor.rejoins
-                    attempt += 1
-                    continue
-                result.attempts = attempt + 1
-                result.excluded = list(excluded)
-                result.rejoins += rejoins
-                return result
-        finally:
-            if manager is not None:
-                manager.close()
+        runs: List[_Attempt] = []
+
+        async def execute(attempt: Attempt):
+            # Built inside the attempt's own event loop, which each of
+            # its events and its listener belongs to.
+            runs.append(_Attempt(self, attempt))
+            return await runs[-1].execute()
+
+        return run_with_recovery(
+            self.config,
+            lambda attempt: asyncio.run(execute(attempt)),
+            lambda: runs[-1].betas,
+            manager,
+            resume=resume,
+            known_betas=known_betas,
+        )
 
 
 class _Attempt:
     """One distributed attempt: spawn, route, supervise, collect."""
 
-    def __init__(self, coordinator: Coordinator, active: List[int],
-                 known_betas: Dict[int, int], attempt: int):
+    def __init__(self, coordinator: Coordinator, attempt: Attempt):
         self.coord = coordinator
         self.config = coordinator.config
         self.settings = coordinator.settings
-        self.active = list(active)
-        self.known_betas = dict(known_betas)
-        self.attempt = attempt
+        self.active = attempt.active
+        self.known_betas = attempt.known_betas
+        self.attempt = attempt.number
         self.party_ids = [INITIATOR_ID] + self.active
-        self.resume = bool(known_betas) and all(
-            j in known_betas for j in active
-        )
+        self.resume = attempt.resume
         self.supervisor = WallClockSupervisor(
             coordinator.settings.timeout_s,
             adaptive=self.config.adaptive_timeouts,
         )
+        attempt.supervisor = self.supervisor
         self.transcript = Transcript()
         self.transcript.meta.update({
             "transport": "tcp",
@@ -216,22 +178,15 @@ class _Attempt:
         self._fault_deaths: Dict[int, int] = {}
         self._tasks: List[asyncio.Task] = []
         self._interrupted: Optional[str] = None
-        self._rng_blobs = self._fork_rngs()
-        self._fault_seed = _fork_seed(coordinator.framework._rng, attempt)
-
-    # -- deterministic party construction inputs ---------------------------
-
-    def _fork_rngs(self) -> Dict[int, bytes]:
-        from repro.core.framework import _fork
-
-        rng = self.coord.framework._rng
-        prefix = "" if self.attempt == 0 else f"A{self.attempt}|"
-        blobs = {
-            INITIATOR_ID: pickle.dumps(_fork(rng, prefix + "initiator"))
+        rng = coordinator.framework._rng
+        self._rng_blobs = {
+            INITIATOR_ID: pickle.dumps(attempt.fork(rng, "initiator"))
         }
         for j in self.active:
-            blobs[j] = pickle.dumps(_fork(rng, prefix + f"P{j}"))
-        return blobs
+            self._rng_blobs[j] = pickle.dumps(attempt.fork(rng, f"P{j}"))
+        self._fault_seed = _fork_seed(rng, attempt.number)
+
+    # -- deterministic party construction inputs ---------------------------
 
     def _spec_for(self, pid: int, incarnation: int) -> PartySpec:
         framework = self.coord.framework
@@ -648,17 +603,6 @@ class _Attempt:
             self._failure = failure
         self._done.set()
 
-    def harvested_betas(self, survivors: Sequence[int]) -> Dict[int, int]:
-        """β values recovered from the failed attempt (mirrors the
-        in-process `_harvest_betas`): a partial harvest is discarded."""
-        harvested: Dict[int, int] = {}
-        for pid in survivors:
-            beta = self.betas.get(pid)
-            if beta is None:
-                return {}
-            harvested[pid] = int(beta)
-        return harvested
-
     # -- supervision --------------------------------------------------------
 
     async def _supervise(self) -> None:
@@ -703,8 +647,6 @@ class _Attempt:
     # -- result assembly ----------------------------------------------------
 
     def _assemble(self):
-        from repro.core.framework import FrameworkResult
-
         initiator = self.bundles[INITIATOR_ID]
         participants = [self.bundles[j] for j in self.active]
         ranks = {b.party_id: b.rank for b in participants}
@@ -722,7 +664,6 @@ class _Attempt:
             metrics=metrics,
             rounds=self.transcript.rounds,
             betas=betas,
-            rejoins=self.supervisor.rejoins,
             wire_stats=wire_stats,
         )
 
@@ -769,8 +710,6 @@ def _merge_wire_stats(config, bundles: List[ResultBundle]) -> WireStats:
 def _fork_seed(rng, attempt: int) -> int:
     """A deterministic integer seed for the hosts' fault-shim RNGs,
     drawn from a fork so the party streams are untouched."""
-    from repro.core.framework import _fork
-
     fork = _fork(rng, f"transport-faults|{attempt}")
     draw = getattr(fork, "randrange", None)
     if callable(draw):

@@ -46,7 +46,14 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.framework import FrameworkResult, GroupRankingFramework, _fork
+from repro.core.framework import (
+    Attempt,
+    FrameworkResult,
+    GroupRankingFramework,
+    _fork,
+    make_engine,
+    run_with_recovery,
+)
 from repro.core.parties import (
     INITIATOR_ID,
     PHASE_GAIN,
@@ -56,14 +63,11 @@ from repro.core.parties import (
     TAG_DP_RESPONSE,
     TAG_SUBMISSION,
     FrameworkConfig,
-    phase_of_tag,
 )
-from repro.runtime.channels import WireStats, WireTransport
-from repro.runtime.engine import Engine
-from repro.runtime.errors import PartyTimeout, ProtocolAbort, ProtocolError
-from repro.runtime.faults import FaultInjector, FaultSpec
+from repro.runtime.channels import WireStats
+from repro.runtime.errors import PartyTimeout, ProtocolAbort
+from repro.runtime.faults import FaultSpec
 from repro.runtime.metrics import PartyMetrics
-from repro.runtime.supervisor import Supervisor
 from repro.runtime.transcript import Transcript, TranscriptEntry
 from repro.sharding.aggregate import AggregationOutcome, rank_champions
 from repro.sharding.parties import (
@@ -119,34 +123,18 @@ def run_hierarchical(
     gain_specs, shard_specs, submission_specs = _split_faults(specs)
     rng = framework._rng
 
-    active = list(config.participant_ids)
-    excluded: List[int] = []
-    attempts = 1
-    rejoins = 0
-    wire_parts: List[WireStats] = []
-
     # ---- Level 1: global phase 1 (or a β hand-off that skips it) ----
-    phase1 = _Phase1Outcome(Transcript(), {}, None)
-    betas = dict(known_betas) if known_betas else {}
-    if not (betas and all(j in betas for j in active)):
-        betas = {}
-        manager = _make_manager(config, "phase1")
-        start_attempt = 0
-        if resume:
-            if manager is None:
-                raise ValueError("resume=True requires config.checkpoint_dir")
-            betas, start_attempt = manager.resume_state(active)
-        try:
-            if not (betas and all(j in betas for j in active)):
-                phase1, betas, active, excluded, attempts = _run_phase1(
-                    framework, active, gain_specs, manager, start_attempt
-                )
-        finally:
-            if manager is not None:
-                manager.close()
-        if phase1.wire_stats is not None:
-            wire_parts.append(phase1.wire_stats)
+    phase1 = _run_phase1(framework, gain_specs, resume, known_betas)
+    betas = phase1.betas
+    active = list(betas)
+    excluded = list(phase1.excluded)
     phase1_rounds = phase1.transcript.rounds if phase1.transcript.entries else 0
+    # A phase 1 skipped on handed-in or resumed β made no attempt here.
+    attempts = phase1.attempts if phase1_rounds else 1
+    rejoins = phase1.rejoins
+    wire_parts: List[WireStats] = []
+    if phase1.wire_stats is not None:
+        wire_parts.append(phase1.wire_stats)
 
     # ---- Level 2: concurrent shard-local phase 2 ----
     shards = plan_shards(active, config.shard_size)
@@ -194,7 +182,7 @@ def run_hierarchical(
     submission = _run_submission(
         framework, sorted(ranks), ranks, betas, submission_specs
     )
-    rejoins += phase1.rejoins + submission.rejoins
+    rejoins += submission.rejoins
     if submission.wire_stats is not None:
         wire_parts.append(submission.wire_stats)
 
@@ -299,141 +287,84 @@ def _localize_specs(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _Phase1Outcome:
-    transcript: Transcript
-    metrics: Dict[int, PartyMetrics]
-    wire_stats: Optional[WireStats]
-    rejoins: int = 0
-
-
-@dataclass
 class _StageOutcome:
     transcript: Transcript
     metrics: Dict[int, PartyMetrics]
     wire_stats: Optional[WireStats]
-    output: object
+    output: object = None         # the submission stage's initiator output
+    betas: Dict[int, int] = field(default_factory=dict, repr=False)  # phase 1
+    # Set by the recovery loop (phase 1) or from the supervisor (phase 3).
+    attempts: int = 1
+    excluded: List[int] = field(default_factory=list)
     rejoins: int = 0
-
-
-def _make_manager(config: FrameworkConfig, leaf: str):
-    if config.checkpoint_dir is None:
-        return None
-    import os
-
-    from repro.runtime.checkpoint import CheckpointManager
-
-    return CheckpointManager(
-        os.path.join(config.checkpoint_dir, leaf),
-        sync_every=config.checkpoint_every,
-    )
-
-
-def _stage_engine(config: FrameworkConfig, injector, manager=None):
-    supervisor = Supervisor(
-        timeout_rounds=config.timeout_rounds,
-        max_retries=config.max_retries,
-        phase_of=phase_of_tag,
-        adaptive=config.adaptive_timeouts,
-    )
-    transport = None
-    if config.wire != "declared":
-        transport = WireTransport(
-            config.group,
-            codec=config.wire_codec,
-            coalesce=config.coalesce,
-            mode=config.wire,
-        )
-    engine = Engine(
-        metered_groups=[config.group],
-        faults=injector,
-        supervisor=supervisor,
-        wire=transport,
-        checkpoints=manager,
-    )
-    return engine, supervisor, transport
 
 
 def _run_phase1(
     framework: GroupRankingFramework,
-    active: List[int],
     specs: Sequence[FaultSpec],
-    manager,
-    start_attempt: int,
-) -> Tuple[_Phase1Outcome, Dict[int, int], List[int], List[int], int]:
-    """The global gain phase, with the flat run's recovery semantics.
+    resume: bool,
+    known_betas: Optional[Dict[int, int]],
+) -> _StageOutcome:
+    """The global gain phase under the flat run's recovery loop.
 
-    A blamed phase-1 failure excludes the culprit and reruns the phase
-    over the survivors under a fresh ρ (``A{attempt}|`` RNG prefixes,
-    exactly like the flat framework's restart determinism).
+    Skipped when every participant's β is handed in or resumed from
+    ``<checkpoint_dir>/phase1``.  A blamed phase-1 failure excludes the
+    culprit and reruns the phase over the survivors under a fresh ρ:
+    the harvest is always empty, as no survivor of a failed phase 1
+    holds a β worth keeping.
     """
     config = framework.config
     rng = framework._rng
-    injector = (
-        FaultInjector(
-            list(specs), rng=_fork(rng, "faults"), phase_of=phase_of_tag
-        )
-        if specs
-        else None
-    )
-    excluded: List[int] = []
-    attempt = start_attempt
-    while True:
-        prefix = "" if attempt == 0 else f"A{attempt}|"
-        current_active = list(active)
+    injector = framework._make_injector(specs or None)
+    manager = framework._make_checkpoints("phase1")
+
+    def run_attempt(attempt: Attempt) -> _StageOutcome:
+        active = attempt.active
+        if attempt.resume:
+            return _StageOutcome(
+                Transcript(), {}, None,
+                betas={j: attempt.known_betas[j] for j in active},
+            )
 
         def build_party(party_id: int, known_beta: Optional[int] = None):
             if party_id == INITIATOR_ID:
                 return GainServiceInitiator(
                     config,
                     framework.initiator_input,
-                    _fork(rng, prefix + "initiator"),
-                    active_ids=current_active,
+                    attempt.fork(rng, "initiator"),
+                    active_ids=active,
                 )
             return GainOnlyParticipant(
                 config,
                 party_id,
                 framework.participant_inputs[party_id - 1],
-                _fork(rng, prefix + f"P{party_id}"),
-                active_ids=current_active,
+                attempt.fork(rng, f"P{party_id}"),
+                active_ids=active,
                 known_beta=known_beta,
             )
 
         if manager is not None:
-            manager.start_attempt(attempt, build_party)
-        engine, supervisor, transport = _stage_engine(config, injector, manager)
+            manager.start_attempt(attempt.number, build_party)
+        engine, attempt.supervisor, transport = make_engine(
+            config, injector, manager
+        )
         engine.add_party(build_party(INITIATOR_ID))
-        for j in current_active:
+        for j in active:
             engine.add_party(build_party(j))
-        try:
-            outputs = engine.run()
-        except (PartyTimeout, ProtocolAbort) as failure:
-            blamed = failure.blamed
-            if not (
-                config.recovery
-                and blamed is not None
-                and blamed != INITIATOR_ID
-                and blamed in active
-            ):
-                raise
-            if len(active) - 1 < 2:
-                raise ProtocolError(
-                    f"cannot recover: excluding P{blamed} leaves fewer "
-                    "than 2 participants"
-                ) from failure
-            active = [j for j in active if j != blamed]
-            excluded.append(blamed)
-            attempt += 1
-            continue
-        betas = {j: outputs[j] for j in active}
-        outcome = _Phase1Outcome(
+        outputs = engine.run()
+        return _StageOutcome(
             transcript=engine.transcript,
             metrics={
                 pid: party.metrics for pid, party in engine.parties.items()
             },
             wire_stats=transport.stats() if transport is not None else None,
-            rejoins=supervisor.rejoins,
+            betas={j: outputs[j] for j in active},
         )
-        return outcome, betas, active, excluded, attempt + 1
+
+    return run_with_recovery(
+        config, run_attempt, lambda: {}, manager,
+        resume=resume, known_betas=known_betas,
+    )
 
 
 def _shard_config(config: FrameworkConfig, size: int, index: int) -> FrameworkConfig:
@@ -530,14 +461,8 @@ def _run_submission(
     """The global step-9 round over the hierarchy-assigned ranks."""
     config = framework.config
     rng = framework._rng
-    injector = (
-        FaultInjector(
-            list(specs), rng=_fork(rng, "submit|faults"), phase_of=phase_of_tag
-        )
-        if specs
-        else None
-    )
-    engine, supervisor, transport = _stage_engine(config, injector)
+    injector = framework._make_injector(specs or None, "submit|faults")
+    engine, supervisor, transport = make_engine(config, injector)
     engine.add_party(
         SubmissionInitiator(
             config,

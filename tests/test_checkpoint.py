@@ -427,6 +427,24 @@ class TestKillRejoin:
         assert restored.rejoins == 1
         assert FAULTY in framework.last_checkpoints.rejoined
 
+    def test_rejoins_sum_over_recovery_attempts(
+        self, small_dl_group, small_schema, small_initiator_input, tmp_path
+    ):
+        """P2 is killed and rejoins in attempt 0, then P3's crash forces
+        a second attempt: the earlier rejoin still counts."""
+        framework = build(
+            small_dl_group, small_schema, small_initiator_input, n=4,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        result = framework.run(faults=[
+            kill(FAULTY, "tau-sets"),
+            FaultSpec(kind="crash", party=3, tag="chain"),
+        ])
+        assert result.rejoins == 1
+        assert result.attempts == 2
+        assert result.excluded == [3]
+        assert framework.check_result(result) == []
+
     def test_initiator_kill_rejoins(
         self, small_dl_group, small_schema, small_initiator_input, tmp_path
     ):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.framework import FrameworkConfig, GroupRankingFramework
 from repro.core.gain import AttributeSchema, InitiatorInput, ParticipantInput
-from repro.core.parties import INITIATOR_ID
+from repro.core.parties import INITIATOR_ID, MAX_BETA_BITS
 from repro.groups.dl import DLGroup
 from repro.math.rng import SeededRNG
 from tests.conftest import make_participants
@@ -200,6 +200,62 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FrameworkConfig(group=small_dl_group, schema=small_schema,
                             num_participants=3, k=0)
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"dp_expansion": -1}, ValueError),
+            ({"beta_bits": -3}, ValueError),
+            ({"beta_bits": MAX_BETA_BITS + 1}, ValueError),
+            ({"rho_bits": 10**6}, ValueError),
+            ({"dp_field_prime": 15}, ValueError),
+            ({"dp_field_prime": (1 << 60) + 1}, ValueError),
+            ({"beta_mode": "fast"}, ValueError),
+            ({"group": None}, TypeError),
+            ({"schema": None}, TypeError),
+            ({"multiexp": "yes"}, TypeError),
+            ({"num_participants": 2.5}, TypeError),
+            ({"k": True}, TypeError),
+            ({"shard_size": 3.7}, TypeError),
+            ({"timeout_rounds": 2.0}, TypeError),
+            ({"max_retries": 1.5}, TypeError),
+            ({"checkpoint_every": "x"}, TypeError),
+            ({"checkpoint_dir": 3}, TypeError),
+            ({"validate_elements": False}, TypeError),
+        ],
+        ids=lambda value: (
+            ",".join(f"{k}={v}" for k, v in value.items())
+            if isinstance(value, dict) else value.__name__
+        ),
+    )
+    def test_rejects_before_any_prime_search(
+        self, small_dl_group, small_schema, monkeypatch, overrides, error
+    ):
+        import repro.math.primes as primes
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("config validation reached a prime search")
+
+        monkeypatch.setattr(primes, "next_prime", no_search)
+        kwargs = dict(group=small_dl_group, schema=small_schema,
+                      num_participants=3, k=2)
+        kwargs.update(overrides)
+        with pytest.raises(error):
+            FrameworkConfig(**kwargs)
+
+    def test_beta_bits_ceiling_and_explicit_prime_accepted(
+        self, small_dl_group, small_schema
+    ):
+        widest = FrameworkConfig(group=small_dl_group, schema=small_schema,
+                                 num_participants=3, k=2,
+                                 beta_bits=MAX_BETA_BITS)
+        assert widest.dp_field_prime > 1 << (MAX_BETA_BITS + 8)
+        derived = FrameworkConfig(group=small_dl_group, schema=small_schema,
+                                  num_participants=3, k=2)
+        explicit = FrameworkConfig(group=small_dl_group, schema=small_schema,
+                                   num_participants=3, k=2,
+                                   dp_field_prime=derived.dp_field_prime)
+        assert explicit.dp_field_prime == derived.dp_field_prime
 
     def test_input_count_mismatch(self, small_dl_group, small_schema,
                                   small_initiator_input):
