@@ -121,8 +121,6 @@ FRAME_SPEC: Dict[str, FrameKind] = {
         FrameKind("ABORTED", 8, "p2c"),
         FrameKind("DYING", 9, "p2c"),
         FrameKind("READY", 10, "p2c"),
-        FrameKind("PEER_REJOINED", 11, "c2p"),
-        FrameKind("RESEND", 12, "both"),
         FrameKind("ABORT", 13, "c2p"),
         FrameKind("SHUTDOWN", 14, "c2p"),
         FrameKind("HARVEST", 15, "c2p"),

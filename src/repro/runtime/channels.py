@@ -387,21 +387,6 @@ class WireTransport:
             return V1_BATCH_HEADER_BYTES
         return len(self._fmt.encode_varint(round_sent)) + V2_BATCH_COUNT_BYTES
 
-    # -- reconnect epochs ----------------------------------------------------
-    def reset_channel(self, src: int, dst: int) -> None:
-        """Drop one directed channel's codec state (interning tables and
-        tag dictionary) so the next message starts a fresh, self-
-        contained stream.
-
-        The socket transport calls this when the peer at the other end
-        of the channel reconnects: its decoder tables died with the old
-        connection, so the encoder must not reference ids interned on
-        the previous stream.  The channel's digest accumulator is kept —
-        it spans the whole run, re-encodings included.
-        """
-        self._channels.pop((src, dst), None)
-        self._tag_ids.pop((src, dst), None)
-
     # -- results -------------------------------------------------------------
     @property
     def digest(self) -> str:

@@ -313,7 +313,7 @@ class RejoinPlan:
     checked off against ``sends``; the first send past the journal is
     the death point, where the party goes live.  ``entry`` records where
     the rebuild started (``"start"`` = init record, ``"keying"`` = the
-    phase-2 boundary snapshot), ``watermark`` the highest durable round.
+    phase-2 boundary snapshot), ``round`` the party's round clock there.
     """
 
     party: Any
@@ -321,7 +321,6 @@ class RejoinPlan:
     received: List[Message] = field(default_factory=list)
     sends: Deque[Tuple[int, str]] = field(default_factory=deque)
     round: int = 0
-    watermark: int = 0
 
 
 class CheckpointManager:
@@ -539,18 +538,20 @@ class CheckpointManager:
 
     # -- rejoin ------------------------------------------------------------
 
-    def restore_party(self, party_id: int):
+    def restore_party(self, party_id: int, from_start: bool = False):
         """Rebuild a killed party from durable state (rehydration).
 
         Prefers the phase-2 entry snapshot (β fixed, RNG positioned just
         before the key-share draw); falls back to the init record and a
-        from-scratch replay.  Returns ``(party, entry, rx_skip, tx_skip,
-        entry_round)`` where the skip counts are how many journaled
-        receives/sends the snapshot already covers.
+        from-scratch replay, which ``from_start`` forces.  Returns
+        ``(party, entry, rx_skip, tx_skip, entry_round)`` where the skip
+        counts are how many journaled receives/sends the snapshot
+        already covers.
         """
         if self._factory is None:
             raise CheckpointError("no party factory bound to this attempt")
-        for header, state in reversed(self._decoded_snapshots(party_id)):
+        snapshots = [] if from_start else self._decoded_snapshots(party_id)
+        for header, state in reversed(snapshots):
             if (
                 state.get("role") == "participant"
                 and header.get("phase") == ENTRY_PHASE
@@ -588,18 +589,22 @@ class CheckpointManager:
                 return body if isinstance(body, dict) else None
         return None
 
-    def rejoin_plan(self, party_id: int) -> RejoinPlan:
-        """Restore the party and lay out its deterministic replay."""
+    def rejoin_plan(self, party_id: int,
+                    from_start: bool = False) -> RejoinPlan:
+        """Restore the party and lay out its deterministic replay.
+
+        ``from_start`` replays the whole journal from the init record:
+        the socket host needs every send of the first life re-run, since
+        its encoders and counters died with the process.
+        """
         party, entry, rx_skip, tx_skip, entry_round = self.restore_party(
-            party_id
+            party_id, from_start
         )
         received: List[Message] = []
         sends: Deque[Tuple[int, str]] = deque()
         rx_seen = tx_seen = 0
-        watermark = entry_round
         for header, body in self._decoded_journal(party_id):
             kind = header.get("kind")
-            watermark = max(watermark, int(header.get("round", 0)))
             if kind == "recv":
                 rx_seen += 1
                 if rx_seen > rx_skip:
@@ -619,21 +624,20 @@ class CheckpointManager:
             )
         return RejoinPlan(
             party=party, entry=entry, received=received, sends=sends,
-            round=entry_round, watermark=watermark,
+            round=entry_round,
         )
 
-    def consumed_watermarks(self, party_id: int) -> Dict[str, int]:
-        """Messages this party's journal shows consumed, per ``"src:tag"``.
+    def consumed_watermarks(self, party_id: int) -> Dict[Tuple[int, str], int]:
+        """Messages this party's journal shows consumed, per ``(src, tag)``.
 
-        The socket transport's rejoin handshake ships these counts to
-        the surviving peers, which then resend only the suffix of each
-        stream the dead process never consumed (everything it *had*
-        consumed is replayed locally from the journal instead).
+        A rejoined socket host is sent every stream addressed to it this
+        attempt, from the start; the first this-many deliveries of each
+        stream are the ones its journal replay feeds, so it drops them.
         """
-        counts: Dict[str, int] = {}
+        counts: Dict[Tuple[int, str], int] = {}
         for header, _ in self._decoded_journal(party_id):
             if header.get("kind") == "recv":
-                key = f"{header['src']}:{header['tag']}"
+                key = (int(header["src"]), str(header["tag"]))
                 counts[key] = counts.get(key, 0) + 1
         return counts
 

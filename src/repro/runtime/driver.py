@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from typing import Any, Deque, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Optional, Sequence, Tuple, Union
 
 from repro.runtime.channels import Message, NextRound, Recv
 from repro.runtime.checkpoint import CheckpointError
@@ -38,7 +38,10 @@ class PartyDriver:
     :class:`~repro.runtime.checkpoint.CheckpointManager`.  ``plan`` makes
     the driver replay before going live; ``carried_metrics`` is then the
     first life's metrics object, swapped back in at the death point so
-    the replayed prefix is never counted twice.
+    the replayed prefix is never counted twice.  ``tick`` (or ``None``)
+    is called with each replayed receive, and with ``None`` for each
+    replayed round pause, before the party resumes: a runtime that
+    keeps its own round clock advances it exactly as the first life did.
     """
 
     def __init__(
@@ -48,6 +51,7 @@ class PartyDriver:
         checkpoints: Optional[Any] = None,
         plan: Optional[Any] = None,
         carried_metrics: Optional[Any] = None,
+        tick: Optional[Callable[[Optional[Message]], None]] = None,
     ):
         self.party = party
         self.groups = list(groups)
@@ -57,6 +61,7 @@ class PartyDriver:
         self._received: Deque[Message] = deque(plan.received if plan else ())
         self._sends: Deque[Tuple[int, str]] = plan.sends if plan else deque()
         self._carried_metrics = carried_metrics
+        self._tick = tick
 
     def step(self, message: Optional[Message] = None) -> Effect:
         """Send ``message`` (``None`` to start or resume) into the party
@@ -89,6 +94,8 @@ class PartyDriver:
                 return effect
             # The first life already waited out its round pauses.
             feed = None if isinstance(effect, NextRound) else self._journaled(effect)
+            if self._tick is not None:
+                self._tick(feed)
 
     def _journaled(self, want: Recv) -> Message:
         if not self._received:

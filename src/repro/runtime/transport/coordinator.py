@@ -19,11 +19,12 @@ in-process supervisor raises, so the framework's recovery loop
 party, harvest β from survivors, deterministic restart) drives the
 attempts, each in its own ``asyncio.run``.  ``kill_restart`` faults and real
 process deaths (``SIGKILL``) are handled by respawning the party with a
-bumped incarnation: the new process replays its durable journal,
-reports its consumed-message watermarks, and the coordinator broadcasts
-``PEER_REJOINED`` so surviving senders reset their encoder tables for
-the new connection epoch and resend the unconsumed suffix of each
-stream.
+bumped incarnation, and rejoin is replay alone: with a checkpoint
+directory the router keeps every MSG frame of the attempt in a
+per-destination log, and sends a rejoined connection its whole log
+right after its ``SPEC``, before any live frame.  The new process
+replays its durable journal against that stream; no other party ever
+learns of the rejoin.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ from repro.runtime.transport.frames import (
 #: Fault kinds applied at the *sender* (they kill the sending process).
 SENDER_KINDS = ("crash", "kill_restart")
 
-#: Frames a party still sends while blocked (loss reports, resends to a
-#: rejoined peer, the β harvest): cohort activity, but its wait goes on.
-SENT_WHILE_BLOCKED = (frames.STATUS, frames.RESEND, frames.BETA)
+#: Frames a party still sends while blocked (loss reports, the β
+#: harvest): cohort activity, but its wait goes on.
+SENT_WHILE_BLOCKED = (frames.STATUS, frames.BETA)
 
 #: Lifecycle events (connections, deaths, respawns) at DEBUG level.
 log = logging.getLogger(__name__)
@@ -81,9 +82,10 @@ class _Connection:
         self.pid = pid
         self.reader = reader
         self.writer = writer
-        self.incarnation = incarnation
         self.task: Optional[asyncio.Task] = None
-        self.ready = incarnation == 0  # rejoins gate routing on READY
+        # Live MSG frames go to ready connections only; a rejoin is
+        # ready once its log has been sent.
+        self.ready = incarnation == 0
 
     def send(self, data: bytes) -> None:
         if not self.writer.is_closing():
@@ -165,6 +167,9 @@ class _Attempt:
         self.processes: Dict[int, asyncio.subprocess.Process] = {}
         self.incarnations: Dict[int, int] = {pid: 0 for pid in self.party_ids}
         self.bundles: Dict[int, ResultBundle] = {}
+        # Every MSG frame routed this attempt, per destination (kept only
+        # when a party can rejoin, i.e. with a checkpoint directory).
+        self._log: Dict[int, List[bytes]] = {}
         self.betas: Dict[int, Optional[int]] = {}
         self._failure: Optional[Exception] = None
         self._done = asyncio.Event()
@@ -422,6 +427,12 @@ class _Attempt:
         connection.send(frames.pack_pickle(
             frames.SPEC, self._spec_for(pid, incarnation)
         ))
+        if not connection.ready:
+            # A rejoined incarnation decodes on fresh decoders: send it
+            # every stream addressed to it this attempt, from the start.
+            for frame in self._log.get(pid, ()):
+                connection.send(frame)
+            connection.ready = True
         connection.task = asyncio.create_task(self._route_from(connection))
 
     # -- routing ------------------------------------------------------------
@@ -492,22 +503,7 @@ class _Attempt:
             info = frames.decode_json(body)
             self._on_dying(pid, info)
         elif ftype == frames.READY:
-            info = frames.decode_json(body)
-            connection.ready = True
             self.supervisor.forgive(pid)
-            broadcast = frames.pack_json(frames.PEER_REJOINED, {
-                "party": pid,
-                "incarnation": connection.incarnation,
-                "watermarks": info.get("watermarks", {}),
-            })
-            for other in self.connections.values():
-                if other.pid != pid:
-                    other.send(broadcast)
-        elif ftype == frames.RESEND:
-            record = pickle.loads(body)
-            target = self.connections.get(int(record["dst"]))
-            if target is not None:
-                target.send(frames.pack_frame(frames.RESEND, body))
         elif ftype == frames.BETA:
             info = frames.decode_json(body)
             self.betas[pid] = info.get("beta")
@@ -533,14 +529,12 @@ class _Attempt:
             int(header["size_bits"]),
             frames=int(header.get("wire_messages", 1)),
         )
-        # A frame encoded for a previous incarnation's decoder tables is
-        # undecodable by the rejoined process — drop it; the sender's
-        # PEER_REJOINED handler resends the payload codec-free.
-        if int(header.get("epoch", 0)) != self.incarnations.get(dst, 0):
-            return
+        frame = frames.pack_frame(frames.MSG, body)
+        if self.config.checkpoint_dir is not None:
+            self._log.setdefault(dst, []).append(frame)
         target = self.connections.get(dst)
-        if target is not None:
-            target.send(frames.pack_frame(frames.MSG, body))
+        if target is not None and target.ready:
+            target.send(frame)
 
     # -- death, rejoin, failure --------------------------------------------
 

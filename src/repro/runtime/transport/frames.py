@@ -14,7 +14,9 @@ engine and the socket transport by construction.  The JSON header and
 the TCP/frame overhead are deployment scaffolding, the analogue of the
 IP/TCP headers under a real secure channel; accounted wire bytes remain
 the v2 payload-plus-AEAD-envelope model from
-:mod:`repro.runtime.channels`.
+:mod:`repro.runtime.channels`.  A party that rejoins after a kill is
+sent the same MSG frames again, in order, from the coordinator's log;
+no frame kind exists for redelivery or for telling peers of a rejoin.
 
 Bootstrap (:data:`SPEC`) and end-of-run result (:data:`DONE`) bodies are
 pickles: they cross a same-machine loopback socket guarded by the
@@ -45,9 +47,7 @@ PHASE = 6          # party -> coord: {party, phase, round}
 DONE = 7           # party -> coord: pickled ResultBundle
 ABORTED = 8        # party -> coord: {party, blamed, phase, error}
 DYING = 9          # party -> coord: fault-injected death notice {party, restart, phase}
-READY = 10         # rejoined party -> coord: {party, incarnation, watermarks}
-PEER_REJOINED = 11 # coord -> parties: {party, incarnation, watermarks}
-RESEND = 12        # out-of-band redelivery after a rejoin: pickled message dict
+READY = 10         # rejoined party -> coord: {party, incarnation}
 ABORT = 13         # coord -> parties: {blamed, phase, kind, error}
 SHUTDOWN = 14      # coord -> parties: clean end of run
 HARVEST = 15       # coord -> parties: report your beta before teardown
@@ -83,7 +83,7 @@ def pack_pickle(ftype: int, payload: Any) -> bytes:
 def decode_json(body: bytes) -> Dict[str, Any]:
     try:
         payload = json.loads(body.decode())
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise TransportError("unparseable control frame") from exc
     if not isinstance(payload, dict):
         raise TransportError("control frame body is not an object")

@@ -42,11 +42,16 @@ messages are re-offered through the injector with backoff up to
 retransmits — transient drops heal, stalls exhaust their retries and
 are reported for blame).
 
-Kill-and-rejoin: a respawned incarnation replays its journaled receives
-through a rebuilt generator (the driver's replay, sends suppressed
-against the send journal), announces its consumed-message watermarks,
-and peers resend the unconsumed suffix of each stream out-of-band while
-resetting their encoder tables for the new connection epoch.
+Rounds: a Lamport clock (:meth:`PartyHost._tick`) gives each send the
+round the lockstep engine would stamp, whatever the socket timing.
+
+Kill-and-rejoin is replay alone; peers are never told.  A respawned
+incarnation replays its whole journal from the init record, running
+each replayed send through the local send path but the socket write,
+so its encoders and counters equal the first life's.  The coordinator
+sends it every stream addressed to it this attempt, from the start; it
+decodes them on fresh decoders and drops the deliveries its journal
+replay already fed.
 
 Deadlines are the coordinator's: each blocked host reports what it
 waits on (``STATUS``), and the coordinator's wall-clock supervisor
@@ -114,6 +119,15 @@ class OrderedMailbox:
         self.expected = set(expected) - {owner}
         self._queues: Dict[Tuple[int, str], Deque[Message]] = {}
         self._fresh: Dict[str, Set[int]] = {}
+        self._skip: Dict[Tuple[int, str], int] = {}
+
+    def skip_consumed(self, consumed: Dict[Tuple[int, str], int]) -> None:
+        """Rejoin: drop the first ``consumed[(src, tag)]`` deliveries of
+        each stream (the journal replay feeds those), and count their
+        senders as served for wildcard order, as the first life did."""
+        self._skip = dict(consumed)
+        for src, tag in consumed:
+            self._fresh.setdefault(tag, set()).add(src)
 
     def deliver(self, message: Message) -> None:
         if message.dst != self.owner:
@@ -121,6 +135,9 @@ class OrderedMailbox:
                 f"message for {message.dst} delivered to mailbox of {self.owner}"
             )
         key = (message.src, message.tag)
+        if self._skip.get(key):
+            self._skip[key] -= 1
+            return
         self._queues.setdefault(key, deque()).append(message)
 
     def next_expected(self, tag: str) -> Optional[int]:
@@ -197,12 +214,7 @@ class PartyHost:
         self._wake = asyncio.Event()
         self._round = 0
         self._batch_seen: Set[Tuple[int, int]] = set()
-        self._out_epoch: Dict[int, int] = {}
-        self._in_codecs: Dict[Tuple[int, int], Any] = {}
-        # Everything sent this attempt, per (dst, tag) in send order —
-        # the resend source when a peer rejoins.  Payloads are retained
-        # post-transcode, i.e. exactly what the receiver would observe.
-        self._retained: Dict[Tuple[int, str], List[Tuple[Any, int, int]]] = {}
+        self._in_codecs: Dict[int, Any] = {}
         self._death_commits = spec.prior_fault_deaths
         self._stop_reason: Optional[str] = None
         self._abort_received = False
@@ -248,33 +260,28 @@ class PartyHost:
             size_bits=size_bits, round_sent=self._round,
         )
         assert self.driver is not None  # sends happen inside driver steps
-        if self.driver.suppress_send(dst, tag):
-            if self.sender_faults is not None:
-                # The first life ran this send through the injector and
-                # survived (it made the journal) — advance the rebuilt
-                # injector's match windows identically so the fault
-                # that killed us does not re-arm from zero.
-                self.sender_faults.on_send(message, self._round)
-            return  # the first life already put this on the wire
-        if self.sender_faults is not None:
+        # A replayed send the first life already put on the wire runs
+        # the whole local send path below but the socket write, so the
+        # rebuilt encoders, fault windows and counters match the first
+        # life's.
+        live = not self.driver.suppress_send(dst, tag)
+        if live and self.sender_faults is not None:
             # One commit per prior fault death: the dying send was never
             # journaled, so its window consumption is invisible to the
-            # replay above.  The first live send after replay *is* that
+            # replay.  The first live send after replay *is* that
             # dying send (deterministic re-execution) — consuming the
             # prior commits here lets it pass exactly as the engine's
             # restarted party does, instead of crash-looping forever.
             while self._death_commits > 0:
                 self.sender_faults.on_send(message, self._round)
                 self._death_commits -= 1
-        if self.sender_faults is not None and self.sender_faults.crash_verdict(
-            message
-        ):
-            verdict = self.sender_faults.on_send(message, self._round)
-            raise PartyCrashed(
-                src, phase=phase_of_tag(tag),
-                restart=getattr(verdict, "restart", False),
-            )
-        if self.manager is not None:
+            if self.sender_faults.crash_verdict(message):
+                verdict = self.sender_faults.on_send(message, self._round)
+                raise PartyCrashed(
+                    src, phase=phase_of_tag(tag),
+                    restart=getattr(verdict, "restart", False),
+                )
+        if live and self.manager is not None:
             self.manager.journal_send(message)
         body: Optional[bytes] = None
         enc = "pickle"
@@ -285,8 +292,9 @@ class PartyHost:
         if self.sender_faults is not None:
             # Commit this message against the injector's match windows
             # (the engine runs every send through on_send); crash kinds
-            # were already caught by the lookahead above, so the verdict
-            # here is always plain delivery.
+            # were already caught by the lookahead above, and the first
+            # life survived every replayed send, so the verdict here is
+            # always plain delivery.
             self.sender_faults.on_send(message, self._round)
         if self.wire is not None:
             first = (dst, self._round) not in self._batch_seen
@@ -303,21 +311,13 @@ class PartyHost:
                 if info.encoded is not None:
                     enc = "v2"
                     body = info.encoded
+        self.party.metrics.record_send(message.size_bits)
+        if not live:
+            return  # the first life already put this on the wire
         if body is None:
             body = pickle.dumps(message.payload)
-        self.party.metrics.record_send(message.size_bits)
-        self._retained.setdefault((dst, tag), []).append(
-            (message.payload, message.size_bits, self._round)
-        )
         header = {
             "src": src, "dst": dst, "tag": tag, "round": self._round,
-            # epoch: the destination's incarnation as this sender knows
-            # it — the coordinator drops frames aimed at a dead epoch.
-            # src_epoch: *this* sender's incarnation — the receiver keys
-            # its decoder streams on it, so a rejoined sender's fresh
-            # encoder never collides with the first life's decode state.
-            "epoch": self._out_epoch.get(dst, 0),
-            "src_epoch": self.spec.incarnation,
             "size_bits": message.size_bits, "payload_bits": payload_bits,
             "wire_messages": wire_messages, "enc": enc,
         }
@@ -337,15 +337,6 @@ class PartyHost:
         if ftype == frames.MSG:
             header, encoded = frames.split_msg(body)
             self._on_wire_message(header, encoded)
-        elif ftype == frames.RESEND:
-            record = pickle.loads(body)
-            self._offer(Message(
-                src=record["src"], dst=self.pid, tag=record["tag"],
-                payload=record["payload"], size_bits=record["size_bits"],
-                round_sent=record["round"], accounted=True,
-            ))
-        elif ftype == frames.PEER_REJOINED:
-            self._on_peer_rejoined(frames.decode_json(body))
         elif ftype == frames.ABORT:
             self._abort_received = True
             self._wake.set()
@@ -363,14 +354,13 @@ class PartyHost:
 
     def _on_wire_message(self, header: Dict[str, Any], encoded: bytes) -> None:
         src = int(header["src"])
-        epoch = int(header.get("src_epoch", 0))
         if header.get("enc") == "v2":
-            codec = self._in_codecs.get((src, epoch))
+            codec = self._in_codecs.get(src)
             if codec is None:
                 from repro.runtime import wire as wire_format
 
                 codec = wire_format.make_codec(self.group, self.config.wire_codec)
-                self._in_codecs[(src, epoch)] = codec
+                self._in_codecs[src] = codec
             # Unmetered: the sender already paid the transcode decode
             # (engine parity); no counter is attached outside of
             # generator steps, so this decode costs the receiver nothing.
@@ -436,33 +426,18 @@ class PartyHost:
         for message in pending:
             self._deliver(message)
 
-    def _on_peer_rejoined(self, info: Dict[str, Any]) -> None:
-        peer = int(info["party"])
-        incarnation = int(info["incarnation"])
-        watermarks = info.get("watermarks", {})
-        if peer == self.pid:
-            return
-        if self.wire is not None:
-            # The peer's decoder tables died with its old connection:
-            # start a fresh, self-contained stream for the new epoch.
-            self.wire.reset_channel(self.pid, peer)
-        self._out_epoch[peer] = incarnation
-        for (dst, tag), sent in self._retained.items():
-            if dst != peer:
-                continue
-            consumed = int(watermarks.get(f"{self.pid}:{tag}", 0))
-            for payload, size_bits, round_sent in sent[consumed:]:
-                self.writer.write(frames.pack_pickle(frames.RESEND, {
-                    "src": self.pid, "dst": peer, "tag": tag,
-                    "payload": payload, "size_bits": size_bits,
-                    "round": round_sent,
-                }))
-
     # -- generator driving --------------------------------------------------
 
-    def _advance_round(self) -> None:
-        self._round += 1
-        self._batch_seen.clear()
+    def _tick(self, message: Optional[Message]) -> None:
+        """Lamport round clock: consuming ``message`` moves the clock
+        past its send round; ``None`` (a :class:`NextRound` pause) adds
+        one.  This is the round the lockstep engine runs the party in."""
+        now = self._round + 1 if message is None else max(
+            self._round, message.round_sent + 1
+        )
+        if now != self._round:
+            self._round = now
+            self._batch_seen.clear()
 
     def _check_interrupts(self) -> None:
         if self._abort_received or self._connection_lost:
@@ -548,11 +523,10 @@ class PartyHost:
         plan = None
         if spec.incarnation > 0:
             if self.manager is None:
-                self._send_json(frames.ABORTED, {
+                await self._send_final(frames.ABORTED, {
                     "party": self.pid, "blamed": self.pid, "phase": "init",
                     "error": "rejoin requested without a checkpoint dir",
                 })
-                await self._drain()
                 return 1
             await self._offload(
                 self.manager.resume_attempt, spec.attempt, self._factory,
@@ -565,9 +539,14 @@ class PartyHost:
         try:
             if spec.incarnation > 0:
                 assert self.manager is not None  # guarded above
-                plan = await self._offload(self.manager.rejoin_plan, self.pid)
+                plan = await self._offload(
+                    self.manager.rejoin_plan, self.pid, True
+                )
+                self.mailbox.skip_consumed(await self._offload(
+                    self.manager.consumed_watermarks, self.pid
+                ))
                 self.party = plan.party
-                self._round = plan.watermark
+                self._round = plan.round
                 # Flush before the next await: later arrivals must not
                 # jump ahead of buffered ones in a (src, tag) stream.
                 self._flush_predelivered()
@@ -580,55 +559,49 @@ class PartyHost:
                     )
             self.party._engine = self
             driver = self.driver = PartyDriver(
-                self.party, [self.group], self.manager, plan=plan
+                self.party, [self.group], self.manager, plan=plan,
+                tick=self._tick,
             )
-            # A rejoining party replays its whole journal in this step.
-            effect = driver.step()
             if plan is not None:
-                assert self.manager is not None  # rejoin implies a manager
-                watermarks = await self._offload(
-                    self.manager.consumed_watermarks, self.pid
-                )
+                # Rejoined, as the engine counts it: before the replay,
+                # which may die again at the same send.
                 self._send_json(frames.READY, {
                     "party": self.pid, "incarnation": spec.incarnation,
-                    "watermarks": watermarks,
                 })
+            # A rejoining party replays its whole journal in this step.
+            effect = driver.step()
             while effect is not None:
                 await self._drain()
                 self._check_interrupts()
                 message: Optional[Message] = None
-                if isinstance(effect, NextRound):
-                    self._advance_round()
-                else:
+                if not isinstance(effect, NextRound):
                     message = self.mailbox.try_take(effect)
                     if message is None:
                         message = await self._wait_for(effect)
-                        self._advance_round()
-                    if self.manager is not None:
-                        await self._offload(
-                            self.manager.journal_receive,
-                            self.pid, message, self._round,
-                        )
+                self._tick(message)
+                if message is not None and self.manager is not None:
+                    await self._offload(
+                        self.manager.journal_receive,
+                        self.pid, message, self._round,
+                    )
                 effect = driver.step(message)
             return await self._finish()
         except PartyCrashed as crash:
             return await self._die(crash)
         except ProtocolAbort as abort:
-            self._send_json(frames.ABORTED, {
+            await self._send_final(frames.ABORTED, {
                 "party": self.pid, "blamed": abort.blamed,
                 "phase": getattr(abort, "phase", None), "error": str(abort),
             })
-            await self._drain()
             return 1
         except CheckpointError as exc:
             # A rejoin that cannot be replayed deterministically degrades
             # to a plain crash: the coordinator blames and excludes us.
-            self._send_json(frames.ABORTED, {
+            await self._send_final(frames.ABORTED, {
                 "party": self.pid, "blamed": self.pid,
                 "phase": self.party.phase if self.party else "init",
                 "error": f"checkpoint: {exc}",
             })
-            await self._drain()
             return 1
         except _GracefulExit:
             return await self._graceful()
@@ -664,26 +637,17 @@ class PartyHost:
             bundle.channel_digests = self.wire.channel_digests()
         self.writer.write(frames.pack_pickle(frames.DONE, bundle))
         await self._drain()
-        # Stay connected until the coordinator releases us: peers may
-        # still need resends, and HARVEST can arrive after our DONE.
-        while not (self._shutdown or self._abort_received
-                   or self._connection_lost):
-            if self._stop_reason is not None:
-                break
-            self._wake.clear()
-            if (self._shutdown or self._abort_received
-                    or self._connection_lost):
-                break
-            await self._wake.wait()
+        # Stay connected until the coordinator releases us: HARVEST can
+        # arrive after our DONE.
+        await self._released()
         return 0
 
     async def _die(self, crash: PartyCrashed) -> int:
-        self._send_json(frames.DYING, {
+        await self._send_final(frames.DYING, {
             "party": self.pid,
             "restart": bool(getattr(crash, "restart", False)),
             "phase": getattr(crash, "phase", None),
         })
-        await self._drain()
         return EXIT_FAULT_DEATH
 
     async def _graceful(self) -> int:
@@ -701,6 +665,25 @@ class PartyHost:
         return 0
 
     # -- plumbing -----------------------------------------------------------
+
+    async def _released(self) -> None:
+        """Wait until the coordinator releases this connection (SHUTDOWN,
+        ABORT, or closing it) or a signal stops the party."""
+        while not (self._shutdown or self._abort_received
+                   or self._connection_lost or self._stop_reason is not None):
+            self._wake.clear()
+            await self._wake.wait()
+
+    async def _send_final(self, ftype: int, payload: Dict[str, Any]) -> None:
+        """Send this connection's final frame, then wait (bounded) for
+        the coordinator to act on it: exiting at once can reset the
+        connection, and a reset discards the frame unread."""
+        self._send_json(ftype, payload)
+        await self._drain()
+        try:
+            await asyncio.wait_for(self._released(), self.settings.timeout_s)
+        except asyncio.TimeoutError:
+            pass
 
     def _request_stop(self, reason: str) -> None:
         """Single writer of ``_stop_reason`` (signal handlers and the

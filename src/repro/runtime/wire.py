@@ -68,6 +68,19 @@ class WireConformanceError(ProtocolError):
         )
 
 
+class WireDecodeError(ProtocolError, ValueError):
+    """Bytes that do not decode: truncated, trailing or unknown data, an
+    interned reference out of range, nesting past :data:`MAX_DEPTH`, or
+    an element body outside the group.  A ``ValueError`` too, so callers
+    that caught the bare errors keep working."""
+
+
+#: Deepest container nesting (lists, tuples, objects) a frame may carry;
+#: protocol payloads nest a few levels, and the bound keeps hostile
+#: bytes from exhausting the interpreter stack.
+MAX_DEPTH = 32
+
+
 # ---------------------------------------------------------------------------
 # Varint / zigzag primitives (v2)
 # ---------------------------------------------------------------------------
@@ -93,7 +106,7 @@ def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
     shift = 0
     while True:
         if offset >= len(data):
-            raise ValueError("truncated varint")
+            raise WireDecodeError("truncated varint")
         byte = data[offset]
         offset += 1
         result |= (byte & 0x7F) << shift
@@ -263,12 +276,14 @@ class WireCodec:
 
     # -- decoding ---------------------------------------------------------------
     def decode(self, data: bytes) -> Any:
-        value, remainder = self._decode_one(data)
+        value, remainder = _typed_decode(self._decode_one, data)
         if remainder:
-            raise ValueError(f"{len(remainder)} trailing bytes after decode")
+            raise WireDecodeError(f"{len(remainder)} trailing bytes after decode")
         return value
 
-    def _decode_one(self, data: bytes):
+    def _decode_one(self, data: bytes, depth: int = 0):
+        if depth > MAX_DEPTH:
+            raise WireDecodeError(f"nesting deeper than {MAX_DEPTH}")
         if len(data) < 5:
             raise ValueError("truncated frame header")
         tag = data[:1]
@@ -300,7 +315,7 @@ class WireCodec:
             rest = body[4:]
             bits: List[Ciphertext] = []
             for _ in range(count):
-                bit, rest = self._decode_one(rest)
+                bit, rest = self._decode_one(rest, depth + 1)
                 bits.append(bit)
             if rest:
                 raise ValueError("trailing bytes inside bitwise ciphertext")
@@ -316,7 +331,7 @@ class WireCodec:
             rest = body[1:]
             values = []
             for _ in names:
-                item, rest = self._decode_one(rest)
+                item, rest = self._decode_one(rest, depth + 1)
                 values.append(item)
             if rest:
                 raise ValueError("trailing bytes inside object frame")
@@ -326,7 +341,7 @@ class WireCodec:
             rest = body[4:]
             items = []
             for _ in range(count):
-                item, rest = self._decode_one(rest)
+                item, rest = self._decode_one(rest, depth + 1)
                 items.append(item)
             if rest:
                 raise ValueError("trailing bytes inside list")
@@ -431,14 +446,19 @@ class WireCodecV2:
 
     # -- decoding ---------------------------------------------------------------
     def decode(self, data: bytes) -> Any:
-        value, offset = self._decode_value(data, 0)
+        value, offset = _typed_decode(self._decode_value, data, 0)
         if offset != len(data):
-            raise ValueError(f"{len(data) - offset} trailing bytes after decode")
+            raise WireDecodeError(
+                f"{len(data) - offset} trailing bytes after decode"
+            )
         return value
 
-    def _decode_value(self, data: bytes, offset: int) -> Tuple[Any, int]:
+    def _decode_value(self, data: bytes, offset: int,
+                      depth: int = 0) -> Tuple[Any, int]:
         if offset >= len(data):
             raise ValueError("truncated value")
+        if depth > MAX_DEPTH:
+            raise WireDecodeError(f"nesting deeper than {MAX_DEPTH}")
         tag = data[offset:offset + 1]
         offset += 1
         if tag == b"S":
@@ -480,14 +500,14 @@ class WireCodecV2:
             cls, names = registry[type_id]
             values = []
             for _ in names:
-                item, offset = self._decode_value(data, offset)
+                item, offset = self._decode_value(data, offset, depth + 1)
                 values.append(item)
             return cls(*values), offset
         if tag in (b"L", b"T"):
             count, offset = decode_varint(data, offset)
             items = []
             for _ in range(count):
-                item, offset = self._decode_value(data, offset)
+                item, offset = self._decode_value(data, offset, depth + 1)
                 items.append(item)
             return (tuple(items) if tag == b"T" else items), offset
         raise ValueError(f"unknown wire tag {tag!r}")
@@ -524,6 +544,18 @@ class WireCodecV2:
 
     def intern_rollback(self, mark: int) -> None:
         self._enc_table.truncate(mark)
+
+
+def _typed_decode(decode_one: Any, *args: Any) -> Any:
+    """Run a codec's recursive decoder, raising every failure it meets —
+    truncation, bad tags, bad UTF-8, elements outside the group — as a
+    :class:`WireDecodeError`."""
+    try:
+        return decode_one(*args)
+    except WireDecodeError:
+        raise
+    except (ValueError, TypeError, struct.error) as exc:
+        raise WireDecodeError(str(exc)) from exc
 
 
 def make_codec(group: Group, version: str):

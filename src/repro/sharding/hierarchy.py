@@ -129,8 +129,9 @@ def run_hierarchical(
     active = list(betas)
     excluded = list(phase1.excluded)
     phase1_rounds = phase1.transcript.rounds if phase1.transcript.entries else 0
-    # A phase 1 skipped on handed-in or resumed β made no attempt here.
-    attempts = phase1.attempts if phase1_rounds else 1
+    # As in the flat run, a resumed phase 1 counts the dead process's
+    # attempts; handed-in β start at attempt 1.
+    attempts = phase1.attempts
     rejoins = phase1.rejoins
     wire_parts: List[WireStats] = []
     if phase1.wire_stats is not None:

@@ -1,10 +1,15 @@
 """End-to-end tests of the full three-phase framework."""
 
+import dataclasses
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.framework import FrameworkConfig, GroupRankingFramework
 from repro.core.gain import AttributeSchema, InitiatorInput, ParticipantInput
-from repro.core.parties import INITIATOR_ID, MAX_BETA_BITS
+from repro.core.parties import _INT_MINIMUMS, INITIATOR_ID, MAX_BETA_BITS
 from repro.groups.dl import DLGroup
 from repro.math.rng import SeededRNG
 from tests.conftest import make_participants
@@ -187,7 +192,88 @@ class TestStructure:
         assert framework.check_result(result) == []
 
 
+def _fields_of_type(kind):
+    return sorted(
+        spec.name for spec in dataclasses.fields(FrameworkConfig)
+        if spec.type in (kind.__name__, kind)
+    )
+
+
+#: The string fields and the values each accepts.
+_CHOICES = {
+    "zkp_mode": ("interactive", "fiat-shamir"),
+    "beta_mode": ("paper", "safe"),
+    "wire": ("declared", "measured", "conformance"),
+    "wire_codec": ("v1", "v2"),
+    "backend": ("auto", "gmpy2", "python"),
+    "transport": ("inproc", "tcp"),
+}
+
+
+def _one_field(names, values):
+    """``{name: value}`` for one of ``names``, with ``values(name)``."""
+    return st.sampled_from(names).flatmap(
+        lambda name: values(name).map(lambda value: {name: value})
+    )
+
+
+_NOT_INT = st.one_of(st.booleans(), st.floats(), st.text(max_size=3),
+                     st.none(), st.just([1]))
+_NOT_BOOL = st.one_of(st.integers(), st.floats(), st.text(max_size=3),
+                      st.none())
+_NOT_CHOICE = st.one_of(st.text(max_size=12), st.integers(), st.none())
+
+#: One invalid change to an otherwise valid n=3, k=2 config.
+INVALID_CONFIGS = st.one_of(
+    _one_field(_fields_of_type(int), lambda name: _NOT_INT),
+    _one_field(_fields_of_type(bool), lambda name: _NOT_BOOL),
+    _one_field(sorted(_INT_MINIMUMS), lambda name: st.integers(
+        max_value=_INT_MINIMUMS[name] - 1)),
+    _one_field(sorted(_CHOICES), lambda name: _NOT_CHOICE.filter(
+        lambda value: value not in _CHOICES[name])),
+    st.fixed_dictionaries({"group": st.one_of(st.none(), st.integers())}),
+    st.fixed_dictionaries({"schema": st.one_of(st.none(), st.text())}),
+    st.fixed_dictionaries({"checkpoint_dir": st.one_of(
+        st.integers(), st.lists(st.text(), max_size=2))}),
+    st.integers(2, 6).flatmap(lambda n: st.fixed_dictionaries({
+        "num_participants": st.just(n), "k": st.integers(n + 1, n + 9)})),
+    st.just({"shard_size": 1}),
+    st.fixed_dictionaries({"transport": st.just("tcp"),
+                           "workers": st.integers(2, 64)}),
+    st.fixed_dictionaries({"transport": st.just("tcp"),
+                           "shard_size": st.just(2)}),
+    st.fixed_dictionaries({"beta_bits": st.integers(MAX_BETA_BITS + 1, 10**9)}),
+    st.fixed_dictionaries({"rho_bits": st.integers(MAX_BETA_BITS + 1, 10**9)}),
+    st.fixed_dictionaries({"dp_field_prime": st.one_of(
+        st.integers(1, 2**20),                       # below 2^(l+8)
+        st.integers(2**60, 2**90).map(lambda v: 2 * v),   # composite
+        st.integers(2**1040, 2**1100),               # too wide
+    )}),
+)
+
+
 class TestConfigValidation:
+    @given(overrides=INVALID_CONFIGS)
+    @settings(max_examples=300, deadline=None)
+    def test_every_invalid_config_raises_before_any_work(
+        self, small_dl_group, overrides
+    ):
+        """Property: one invalid field (type, minimum, choice, or a
+        cross-field rule) raises TypeError/ValueError before any group
+        operation or prime search — both are patched to fail loudly."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("config validation did expensive work")
+
+        schema = AttributeSchema(names=("a", "b", "c", "d"), num_equal=2,
+                                 value_bits=6, weight_bits=4)
+        kwargs = dict(group=small_dl_group, schema=schema,
+                      num_participants=3, k=2)
+        kwargs.update(overrides)
+        with mock.patch("repro.math.primes.next_prime", forbidden), \
+                mock.patch.object(small_dl_group, "exp", forbidden):
+            with pytest.raises((TypeError, ValueError)):
+                FrameworkConfig(**kwargs)
+
     def test_too_few_participants(self, small_dl_group, small_schema):
         with pytest.raises(ValueError):
             FrameworkConfig(group=small_dl_group, schema=small_schema,

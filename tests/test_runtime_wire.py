@@ -378,8 +378,9 @@ class TestFragmentCount:
 #
 # The socket transport keeps one v2 codec per directed channel; when a
 # peer dies and rejoins, its decoder tables die with the connection, so
-# the sender must reset its encoder (``WireTransport.reset_channel``)
-# and start a self-contained stream.  These tests pin that lifecycle.
+# the rejoined peer must be sent its streams again from the start (the
+# coordinator's replay log) — a mid-stream frame means nothing to a
+# fresh decoder.  These tests pin that lifecycle.
 
 from repro.runtime.channels import Message, WireTransport  # noqa: E402
 
@@ -398,73 +399,15 @@ class TestReconnectLifecycle:
         keypair = scheme.generate_keypair(rng)
         return scheme.encrypt(1, keypair.public, rng)
 
-    def test_reset_channel_starts_self_contained_stream(self, small_dl_group):
-        """After reset_channel, the next frame never references ids
-        interned on the dead stream — a fresh decoder accepts it."""
-        transport = WireTransport(small_dl_group, keep_bytes=True)
-        element = self._element_payload(small_dl_group, 31)
-        first = transport.prepare(self._msg(1, 2, element))
-        repeat = transport.prepare(self._msg(1, 2, element))
-        # Live stream: the repeat is a short reference frame.
-        assert len(repeat.wire.encoded) < len(first.wire.encoded)
-
-        transport.reset_channel(1, 2)
-        fresh = transport.prepare(self._msg(1, 2, element))
-        # Raw again: the rebuilt peer never saw the interned id.
-        assert len(fresh.wire.encoded) == len(first.wire.encoded)
-        decoder = WireCodecV2(small_dl_group)
-        decoded = decoder.decode(fresh.wire.encoded)
-        assert small_dl_group.eq(decoded.c1, element.c1)
-        assert small_dl_group.eq(decoded.c2, element.c2)
-
     def test_pre_reset_reference_rejected_by_fresh_decoder(self, small_dl_group):
-        """The failure reset_channel prevents: a reference frame from
-        the old stream is garbage to a rejoined peer's decoder."""
+        """Why a rejoined peer is sent its streams from the start: a
+        reference frame from mid-stream is garbage to a fresh decoder."""
         transport = WireTransport(small_dl_group, keep_bytes=True)
         element = self._element_payload(small_dl_group, 32)
         transport.prepare(self._msg(1, 2, element))
         reference = transport.prepare(self._msg(1, 2, element))
         with pytest.raises(ValueError):
             WireCodecV2(small_dl_group).decode(reference.wire.encoded)
-
-    def test_reset_is_per_directed_channel(self, small_dl_group):
-        """Resetting 1>2 must not disturb 1>3 (or 2>1) codec state."""
-        transport = WireTransport(small_dl_group, keep_bytes=True)
-        element = self._element_payload(small_dl_group, 33)
-        transport.prepare(self._msg(1, 2, element))
-        transport.prepare(self._msg(1, 3, element))
-        transport.reset_channel(1, 2)
-        survivor = transport.prepare(self._msg(1, 3, element))
-        # 1>3 kept its table: the repeat is still a short reference.
-        raw = transport.prepare(self._msg(1, 2, element))
-        assert len(survivor.wire.encoded) < len(raw.wire.encoded)
-
-    def test_reset_keeps_channel_digest_spanning_reconnect(self, small_dl_group):
-        """The per-channel digest covers the whole run including
-        re-encodings after a rejoin — reset must not restart it."""
-        transport = WireTransport(small_dl_group, keep_bytes=True)
-        element = self._element_payload(small_dl_group, 34)
-        transport.prepare(self._msg(1, 2, element))
-        before = transport.channel_digests()["1>2"]
-        transport.reset_channel(1, 2)
-        assert transport.channel_digests()["1>2"] == before
-        transport.prepare(self._msg(1, 2, element))
-        assert transport.channel_digests()["1>2"] != before
-
-    def test_reset_also_resets_tag_dictionary(self, small_dl_group):
-        """Tag ids are per-stream state too: after a reset the first
-        use of a tag ships the string again (payload_bits grow by the
-        2-byte header plus the UTF-8 tag, exactly as on first use)."""
-        transport = WireTransport(small_dl_group, keep_bytes=True)
-        element = self._element_payload(small_dl_group, 35)
-        first = transport.prepare(self._msg(1, 2, element))
-        transport.reset_channel(1, 2)
-        again = transport.prepare(self._msg(1, 2, element))
-        assert again.wire.payload_bits == first.wire.payload_bits
-        tag_bytes = 2 + len("tau-sets".encode())
-        assert first.wire.payload_bits == 8 * (
-            len(first.wire.encoded) + tag_bytes
-        )
 
     def test_keep_bytes_off_drops_payload_bytes(self, small_dl_group):
         """Engine runs don't pay to retain encodings; the socket

@@ -369,6 +369,33 @@ class TestCheckpoints:
         assert resumed.ranks == clean.ranks
         assert resumed.betas == clean.betas
 
+    def test_complete_resume_counts_attempts_like_flat_run(
+        self, small_dl_group, small_schema, small_initiator_input, tmp_path
+    ):
+        """As in the flat ``TestResume`` scenario, the dead process's
+        attempt 0 counts and the resumed run is attempt 1."""
+        directory = str(tmp_path / "ckpt")
+        build(
+            small_dl_group, small_schema, small_initiator_input,
+            checkpoint_dir=directory,
+        ).run()
+        resumed = build(
+            small_dl_group, small_schema, small_initiator_input,
+            checkpoint_dir=directory,
+        ).run(resume=True)
+        assert resumed.phase1_rounds == 0
+        assert resumed.attempts == 2
+
+    def test_handed_in_betas_count_one_attempt(
+        self, small_dl_group, small_schema, small_initiator_input
+    ):
+        clean = build(small_dl_group, small_schema, small_initiator_input).run()
+        handed = build(
+            small_dl_group, small_schema, small_initiator_input
+        ).run(known_betas=clean.betas)
+        assert handed.phase1_rounds == 0
+        assert handed.attempts == 1
+
 
 # ---------------------------------------------------------------------------
 # The champion-aggregation round in isolation

@@ -5,12 +5,13 @@ The transport's contract is *transcript equivalence*: a distributed run
 must produce the same protocol outcome AND the same wire-level
 accounting as the lockstep in-process engine — same ranks, same betas,
 same per-channel payload digests, same payload byte counts, same group
-operation counts.  Only envelope attribution may differ (see
-``TestEquivalence.test_wire_messages_differ_by_attribution_only``).
+operation counts.  Hosts keep Lamport round clocks, so round stamps,
+coalesced envelopes and the round count match the engine's too.
 
 Fault injection, crash recovery, and kill-with-rejoin run over the real
 sockets here: parties die as OS processes and rejoin over fresh
-connections from their durable checkpoints.
+connections from their durable checkpoints.  A killed-and-rejoined TCP
+run must equal the in-process run of the same fault plan.
 """
 
 import os
@@ -135,11 +136,36 @@ class TestEquivalence:
         # Both coalesce: far fewer envelopes than logical messages.
         assert tcp.wire_stats.wire_messages < tcp.wire_stats.logical_messages
 
+    def test_rounds_equal(self, equiv):
+        """Lamport round clocks: each host stamps a send with the round
+        the engine would run it in, whatever the socket timing."""
+        inproc, tcp = equiv
+        assert tcp.rounds == inproc.rounds
+
+    def test_envelopes_equal(self, equiv):
+        """With engine round stamps, coalesced batches per (dst, round)
+        are the engine's batches: same envelopes, same wire bits."""
+        inproc, tcp = equiv
+        assert tcp.wire_stats.wire_messages == inproc.wire_stats.wire_messages
+        assert tcp.wire_stats.wire_bits == inproc.wire_stats.wire_bits
+
     def test_no_recovery_needed(self, equiv):
         _, tcp = equiv
         assert tcp.attempts == 1
         assert tcp.excluded == []
         assert tcp.rejoins == 0
+
+
+def test_same_seed_tcp_runs_agree_on_rounds(small_dl_group):
+    """Round stamps do not depend on timing: two same-seed n=4 socket
+    runs read the same round count, and it is the engine's."""
+    inproc = build(small_dl_group, N_FAULT).run()
+    runs = [
+        run_distributed(build(small_dl_group, N_FAULT),
+                        settings=TransportSettings(timeout_s=60.0))
+        for _ in range(2)
+    ]
+    assert [run.rounds for run in runs] == [inproc.rounds] * 2
 
 
 # -- framework dispatch ------------------------------------------------------
@@ -257,6 +283,94 @@ class TestFaults:
         assert result.rejoins == 1
         assert result.excluded == []
         assert result.ranks == fault_baseline
+
+
+# -- kill-and-rejoin: sockets vs engine --------------------------------------
+
+#: Fault plans whose killed party must rejoin over TCP exactly as it
+#: does in process.
+KILL_PLANS = {
+    "chain": [FaultSpec(kind="kill_restart", party=2, phase="chain")],
+    # Dies twice at the same send: the second life dies in its replay.
+    "double": [FaultSpec(kind="kill_restart", party=2, phase="chain",
+                         count=2)],
+    # Dies in keying, then again in chain: a replay of a replayed life.
+    "twice": [FaultSpec(kind="kill_restart", party=2, phase="keying"),
+              FaultSpec(kind="kill_restart", party=2, phase="chain")],
+    # Peers keep broadcasting bit encryptions to the dead party.
+    "comparison": [FaultSpec(kind="kill_restart", party=3,
+                             phase="comparison")],
+}
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(small_dl_group):
+    return fault_build(small_dl_group).run()
+
+
+@pytest.fixture(scope="module", params=sorted(KILL_PLANS))
+def kill_pair(request, small_dl_group):
+    """The in-process and the TCP run of one kill plan."""
+    plan = KILL_PLANS[request.param]
+    with tempfile.TemporaryDirectory() as checkpoint_dir:
+        inproc = fault_build(
+            small_dl_group, checkpoint_dir=checkpoint_dir
+        ).run(list(plan))
+    with tempfile.TemporaryDirectory() as checkpoint_dir:
+        tcp = run_distributed(
+            fault_build(small_dl_group, checkpoint_dir=checkpoint_dir),
+            list(plan),
+            settings=TransportSettings(timeout_s=40.0),
+        )
+    return inproc, tcp
+
+
+def _party_counts(metrics):
+    return (
+        metrics.ops.multiplications, metrics.ops.exponentiations,
+        metrics.ops.exponent_bits, metrics.ops.inversions,
+        metrics.messages_sent, metrics.messages_received,
+        metrics.bits_sent, metrics.bits_received,
+    )
+
+
+class TestKillRejoinEquivalence:
+    """Rejoin over sockets is replay alone: the killed party's new
+    process re-runs its journal, and its peers never learn of it."""
+
+    def test_rejoined_without_exclusion(self, kill_pair):
+        inproc, tcp = kill_pair
+        assert tcp.rejoins == inproc.rejoins >= 1
+        assert (tcp.attempts, tcp.excluded) == (1, [])
+
+    def test_outcome_equals_uninterrupted(self, kill_pair, uninterrupted):
+        _, tcp = kill_pair
+        assert tcp.ranks == uninterrupted.ranks
+        assert tcp.betas == uninterrupted.betas
+
+    def test_wire_digests_equal(self, kill_pair):
+        inproc, tcp = kill_pair
+        assert tcp.wire_stats.channel_digests == \
+            inproc.wire_stats.channel_digests
+        assert tcp.wire_stats.canonical_digest == \
+            inproc.wire_stats.canonical_digest
+
+    def test_payload_accounting_equal(self, kill_pair):
+        inproc, tcp = kill_pair
+        assert tcp.wire_stats.payload_bits == inproc.wire_stats.payload_bits
+        assert tcp.wire_stats.logical_messages == \
+            inproc.wire_stats.logical_messages
+
+    def test_party_counters_equal(self, kill_pair):
+        inproc, tcp = kill_pair
+        assert set(tcp.metrics) == set(inproc.metrics)
+        for pid in inproc.metrics:
+            assert _party_counts(tcp.metrics[pid]) == \
+                _party_counts(inproc.metrics[pid]), pid
+
+    def test_rounds_equal(self, kill_pair):
+        inproc, tcp = kill_pair
+        assert tcp.rounds == inproc.rounds
 
 
 # -- graceful shutdown -------------------------------------------------------
